@@ -8,7 +8,9 @@ reproduction:
 * :func:`fingerprint` — canonical, stable content hash of an SDFG via the
   IR serialization layer.
 * :func:`cache_key` — fingerprint + device + instrument/sanitize variants +
-  optimization level + compilation-relevant config + code-version salt.
+  optimization level + compilation-relevant config + code-version salt
+  (governed and checkpointed runs use the plain module: no variant, no
+  key bit).
 * :class:`CacheStore` — in-memory LRU over a crash-safe, checksummed,
   size-bounded on-disk entry directory (``$REPRO_CACHE_DIR`` or
   ``~/.cache/repro``).
@@ -67,7 +69,7 @@ def set_store(store: Optional[CacheStore]) -> None:
 # ---------------------------------------------------------------------------
 
 def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
-                   sanitize: bool = False, govern: bool = False,
+                   sanitize: bool = False,
                    optimize: Optional[str] = None,
                    store: Optional[CacheStore] = None):
     """Compile *sdfg* through the content-addressed cache.
@@ -84,12 +86,12 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
 
     coll = instrumentation.current()
     if not Config.get("cache.enabled"):
-        return _compile_full(sdfg, device, instrument, sanitize, govern,
-                             optimize, coll)
+        return _compile_full(sdfg, device, instrument, sanitize, optimize,
+                             coll)
     store = store or get_store()
     start = time.perf_counter()
     key = cache_key(sdfg, device=device, instrument=instrument,
-                    sanitize=sanitize, govern=govern, optimize=optimize)
+                    sanitize=sanitize, optimize=optimize)
 
     compiled = store.get_memory(key)
     if compiled is not None:
@@ -102,7 +104,7 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     if entry is not None:
         try:
             compiled = _rehydrate(entry, device=device, instrument=instrument,
-                                  sanitize=sanitize, govern=govern)
+                                  sanitize=sanitize)
         except Exception:
             # a structurally unusable entry is as good as a corrupted one
             store.invalidate(key)
@@ -116,8 +118,8 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     stats().bump("misses")
     if coll is not None:
         coll.add("cache", "miss", time.perf_counter() - start)
-    compiled = _compile_full(sdfg, device, instrument, sanitize, govern,
-                             optimize, coll)
+    compiled = _compile_full(sdfg, device, instrument, sanitize, optimize,
+                             coll)
     entry = _make_entry(key, compiled, optimize)
     if entry is not None:
         store.write_disk(entry)
@@ -125,8 +127,8 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     return compiled
 
 
-def _compile_full(sdfg, device, instrument, sanitize, govern, optimize, coll):
-    from ..codegen.compiled import CompiledSDFG
+def _compile_full(sdfg, device, instrument, sanitize, optimize, coll):
+    from ..codegen.compiled import build
 
     work = sdfg
     if optimize:
@@ -136,12 +138,12 @@ def _compile_full(sdfg, device, instrument, sanitize, govern, optimize, coll):
                 work.auto_optimize(device=optimize)
         else:
             work.auto_optimize(device=optimize)
-    return CompiledSDFG(work, device=device, instrument=instrument,
-                        sanitize=sanitize, govern=govern)
+    return build(work, device=device, instrument=instrument,
+                 sanitize=sanitize)
 
 
 def _rehydrate(entry: CacheEntry, device: str, instrument: bool,
-               sanitize: bool, govern: bool = False):
+               sanitize: bool):
     """Rebuild a CompiledSDFG from a disk entry without code generation."""
     from ..codegen.compiled import CompiledSDFG
     from ..codegen.pygen import rehydrate_module
@@ -149,12 +151,10 @@ def _rehydrate(entry: CacheEntry, device: str, instrument: bool,
 
     sdfg = sdfg_from_json(entry.sdfg_json)
     run = rehydrate_module(sdfg, entry.source, entry.closure_specs,
-                           instrument=instrument, sanitize=sanitize,
-                           govern=govern)
-    return CompiledSDFG.from_cached(sdfg, run, entry.source,
-                                    closure_specs=entry.closure_specs,
-                                    device=device, instrument=instrument,
-                                    sanitize=sanitize, govern=govern)
+                           instrument=instrument, sanitize=sanitize)
+    return CompiledSDFG(sdfg, run, entry.source, entry.closure_specs,
+                        device=device, instrument=instrument,
+                        sanitize=sanitize, from_cache=True)
 
 
 def _make_entry(key: str, compiled, optimize: Optional[str]
@@ -187,7 +187,6 @@ def _make_entry(key: str, compiled, optimize: Optional[str]
         device=compiled.device,
         instrument=compiled.instrumented,
         sanitize=compiled.sanitized,
-        govern=compiled.governed,
         optimize=optimize or "",
         created_utc=datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),

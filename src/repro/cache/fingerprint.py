@@ -26,7 +26,7 @@ __all__ = ["fingerprint", "cache_key", "code_version", "config_digest"]
 #: package subtrees whose sources determine generated-module behaviour;
 #: editing any of them invalidates every cache entry (the version salt)
 _SALT_SUBTREES = ("ir", "frontend", "codegen", "transformations", "symbolic",
-                  "library", "runtime", "sanitizer", "governor")
+                  "library", "runtime", "sanitizer")
 _SALT_FILES = ("autoopt.py", "dtypes.py", "config.py")
 
 _code_version: Optional[str] = None
@@ -90,7 +90,7 @@ def config_digest() -> str:
 
 
 def cache_key(sdfg, device: str = "CPU", instrument: bool = False,
-              sanitize: bool = False, govern: bool = False,
+              sanitize: bool = False,
               optimize: Optional[str] = None) -> str:
     """Full content-addressed cache key (hex sha256).
 
@@ -104,7 +104,6 @@ def cache_key(sdfg, device: str = "CPU", instrument: bool = False,
         str(device),
         f"instrument={int(bool(instrument))}",
         f"sanitize={int(bool(sanitize))}",
-        f"govern={int(bool(govern))}",
         f"optimize={optimize or ''}",
         config_digest(),
         code_version(),

@@ -99,7 +99,6 @@ class CacheEntry:
     device: str = "CPU"
     instrument: bool = False
     sanitize: bool = False
-    govern: bool = False
     optimize: str = ""
     created_utc: str = ""
     checksum: str = ""
@@ -123,7 +122,6 @@ class CacheEntry:
             "device": self.device,
             "instrument": self.instrument,
             "sanitize": self.sanitize,
-            "govern": self.govern,
             "optimize": self.optimize,
             "created_utc": self.created_utc,
             "checksum": self.checksum,
@@ -143,7 +141,6 @@ class CacheEntry:
             device=d.get("device", "CPU"),
             instrument=bool(d.get("instrument", False)),
             sanitize=bool(d.get("sanitize", False)),
-            govern=bool(d.get("govern", False)),
             optimize=d.get("optimize", ""),
             created_utc=d.get("created_utc", ""),
             checksum=d.get("checksum", ""),

@@ -5,10 +5,11 @@ calling convention.  Compilation time (frontend + optimization already done
 by the caller + module generation + ``compile()``) is recorded for the
 paper's Fig. 6 experiment.
 
-Construction has two paths: the cold path validates the SDFG and generates
-the module, while :meth:`CompiledSDFG.from_cached` rehydrates ``_run`` from
-cached source (see :mod:`repro.cache`) and skips both validation and code
-generation — the graph was validated when the entry was created.
+A :class:`CompiledSDFG` only holds what was built.  :func:`build` is the
+one cold path (validate, generate, time both); a cache hit constructs the
+holder around a module rehydrated from cached source (see
+:mod:`repro.cache`) and skips both — the graph was validated when the entry
+was created.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, Optional, Tuple
 from .. import instrumentation
 from ..runtime.executor import collect_return, prepare_arguments
 
-__all__ = ["CompiledSDFG", "compile_sdfg"]
+__all__ = ["CompiledSDFG", "build", "compile_sdfg"]
 
 
 class CompiledSDFG:
@@ -28,64 +29,30 @@ class CompiledSDFG:
     With ``instrument=True`` the generated module carries per-state and
     per-map timing hooks (reporting to :mod:`repro.instrumentation`); with
     ``sanitize=True`` it carries bounds/NaN guard calls (reporting to
-    :mod:`repro.sanitizer.guards`); the default emits the unchanged
-    hook-free module.
+    :mod:`repro.sanitizer.guards`); the default module has neither.
     """
 
-    def __init__(self, sdfg, device: str = "CPU", instrument: bool = False,
-                 sanitize: bool = False, govern: bool = False,
-                 validate: bool = True):
-        from .pygen import generate_payload
-
+    def __init__(self, sdfg, run, source: str,
+                 closure_specs: Dict[str, Tuple[int, int]],
+                 device: str = "CPU", instrument: bool = False,
+                 sanitize: bool = False, from_cache: bool = False,
+                 validate_seconds: float = 0.0,
+                 codegen_seconds: float = 0.0):
         self.sdfg = sdfg
+        self._run = run
+        self.source = source
+        self.closure_specs = dict(closure_specs)
         self.device = device
         self.instrumented = instrument
         self.sanitized = sanitize
-        self.governed = govern
         #: True when rehydrated from the compilation cache
-        self.from_cache = False
-        coll = instrumentation._ACTIVE
-        self.validate_seconds = 0.0
-        if validate:
-            start = time.perf_counter()
-            sdfg.validate()
-            self.validate_seconds = time.perf_counter() - start
-            if coll is not None:
-                coll.add("phase", "validate", self.validate_seconds)
-        start = time.perf_counter()
-        self._run, self.source, self.closure_specs = generate_payload(
-            sdfg, instrument=instrument, sanitize=sanitize, govern=govern)
-        self.codegen_seconds = time.perf_counter() - start
-        if coll is not None:
-            coll.add("phase", "codegen", self.codegen_seconds)
+        self.from_cache = from_cache
+        self.validate_seconds = validate_seconds
+        self.codegen_seconds = codegen_seconds
         #: state-index -> visit count from the most recent execution
         #: (consumed by the device performance models)
         self.last_state_visits: Dict[int, int] = {}
         self.last_symbols: Dict[str, int] = {}
-
-    @classmethod
-    def from_cached(cls, sdfg, run, source: str,
-                    closure_specs: Optional[Dict[str, Tuple[int, int]]] = None,
-                    device: str = "CPU", instrument: bool = False,
-                    sanitize: bool = False,
-                    govern: bool = False) -> "CompiledSDFG":
-        """Wrap an already-rehydrated module (cache hit): no validation, no
-        code generation."""
-        obj = cls.__new__(cls)
-        obj.sdfg = sdfg
-        obj.device = device
-        obj.instrumented = instrument
-        obj.sanitized = sanitize
-        obj.governed = govern
-        obj.from_cache = True
-        obj.validate_seconds = 0.0
-        obj._run = run
-        obj.source = source
-        obj.closure_specs = dict(closure_specs or {})
-        obj.codegen_seconds = 0.0
-        obj.last_state_visits = {}
-        obj.last_symbols = {}
-        return obj
 
     def __call__(self, *args, **kwargs):
         containers, symbols = prepare_arguments(self.sdfg, args, kwargs)
@@ -115,8 +82,32 @@ class CompiledSDFG:
         return f"CompiledSDFG({self.sdfg.name!r}, device={self.device})"
 
 
+def build(sdfg, device: str = "CPU", instrument: bool = False,
+          sanitize: bool = False) -> CompiledSDFG:
+    """The cold build: validate *sdfg*, generate its module, and report
+    both durations to the active profile collector (Fig. 6)."""
+    from .pygen import generate_payload
+
+    coll = instrumentation._ACTIVE
+    start = time.perf_counter()
+    sdfg.validate()
+    validate_seconds = time.perf_counter() - start
+    if coll is not None:
+        coll.add("phase", "validate", validate_seconds)
+    start = time.perf_counter()
+    run, source, closure_specs = generate_payload(
+        sdfg, instrument=instrument, sanitize=sanitize)
+    codegen_seconds = time.perf_counter() - start
+    if coll is not None:
+        coll.add("phase", "codegen", codegen_seconds)
+    return CompiledSDFG(sdfg, run, source, closure_specs, device=device,
+                        instrument=instrument, sanitize=sanitize,
+                        validate_seconds=validate_seconds,
+                        codegen_seconds=codegen_seconds)
+
+
 def compile_sdfg(sdfg, device: str = "CPU", instrument: bool = False,
-                 sanitize: bool = False, govern: bool = False,
+                 sanitize: bool = False,
                  cache: Optional[bool] = None) -> CompiledSDFG:
     """Compile an SDFG into an executable specialized module.
 
@@ -133,6 +124,6 @@ def compile_sdfg(sdfg, device: str = "CPU", instrument: bool = False,
         from ..cache import cached_compile
 
         return cached_compile(sdfg, device=device, instrument=instrument,
-                              sanitize=sanitize, govern=govern)
-    return CompiledSDFG(sdfg, device=device, instrument=instrument,
-                        sanitize=sanitize, govern=govern)
+                              sanitize=sanitize)
+    return build(sdfg, device=device, instrument=instrument,
+                 sanitize=sanitize)

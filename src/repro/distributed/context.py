@@ -1,21 +1,20 @@
-"""Thread-local distributed execution context.
+"""Per-rank distributed execution handle.
 
 SPMD execution runs one interpreter per rank in a thread; the explicit
 ``repro.comm`` operations and the distributed library nodes resolve the
-calling rank's communicator and process grid through this context.
+calling rank's communicator and process grid through the ``dist`` field of
+the thread's :class:`~repro.runtime.context.ExecutionContext`.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
+from ..runtime import context as _context
 from ..simmpi.comm import Comm
 from ..simmpi.grid import ProcessGrid
 
-__all__ = ["DistContext", "current", "set_current", "require"]
-
-_tls = threading.local()
+__all__ = ["DistContext", "current", "require"]
 
 
 class DistContext:
@@ -40,11 +39,8 @@ class DistContext:
 
 
 def current() -> Optional[DistContext]:
-    return getattr(_tls, "ctx", None)
-
-
-def set_current(ctx: Optional[DistContext]) -> None:
-    _tls.ctx = ctx
+    ctx = _context.current()
+    return ctx.dist if ctx is not None else None
 
 
 def require() -> DistContext:

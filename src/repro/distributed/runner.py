@@ -28,7 +28,6 @@ from ..config import Config
 from ..resilience.distributed import RankSnapshot, run_spmd_supervised
 from ..simmpi.grid import ProcessGrid
 from ..simmpi.netmodel import FaultPlan, NetModel
-from . import context
 
 __all__ = ["run_distributed", "DistributedResult"]
 
@@ -86,7 +85,6 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
     budget = Budget.resolve(budget)
     if budget.is_null:
         budget = None
-    govern = budget is not None and budget.deadline_s is not None
     if isinstance(program, DaceProgram):
         sdfg = program.to_sdfg()
     elif isinstance(program, SDFG):
@@ -103,7 +101,7 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
 
         sdfg = sdfg.clone()
         commopt_applied = optimize_comm(sdfg)
-    compiled = compile_sdfg(sdfg, govern=govern)
+    compiled = compile_sdfg(sdfg)
 
     grid_obj = grid or ProcessGrid(size)
     visits_holder: Dict[int, int] = {}
@@ -119,53 +117,50 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
             np.copyto(kwargs[name], copy_)
 
     def rank_fn(comm, snapshot: Optional[RankSnapshot]):
-        context.set_current(context.DistContext(comm, grid_obj))
-        try:
-            local_kwargs = {}
-            for name, value in kwargs.items():
-                if isinstance(value, np.ndarray) and comm.rank != 0:
-                    local_kwargs[name] = np.copy(value)
-                else:
-                    local_kwargs[name] = value
-            if rank_args is not None:
-                local_kwargs.update(rank_args(comm.rank, grid_obj))
-            # reserved distribution symbols used by the transformations
-            free = compiled.sdfg.free_symbols
-            if "__P" in free:
-                local_kwargs.setdefault("__P", size)
-            if "__GR0" in free:
-                local_kwargs.setdefault("__GR0", grid_obj.dims[0])
-            if "__GR1" in free:
-                local_kwargs.setdefault("__GR1", grid_obj.dims[1])
-            containers, symbols = prepare_arguments(
-                compiled.sdfg, (), local_kwargs)
-            if budget is not None and budget.max_bytes:
-                from ..governor.admission import admit
+        local_kwargs = {}
+        for name, value in kwargs.items():
+            if isinstance(value, np.ndarray) and comm.rank != 0:
+                local_kwargs[name] = np.copy(value)
+            else:
+                local_kwargs[name] = value
+        if rank_args is not None:
+            local_kwargs.update(rank_args(comm.rank, grid_obj))
+        # reserved distribution symbols used by the transformations
+        free = compiled.sdfg.free_symbols
+        if "__P" in free:
+            local_kwargs.setdefault("__P", size)
+        if "__GR0" in free:
+            local_kwargs.setdefault("__GR0", grid_obj.dims[0])
+        if "__GR1" in free:
+            local_kwargs.setdefault("__GR1", grid_obj.dims[1])
+        containers, symbols = prepare_arguments(
+            compiled.sdfg, (), local_kwargs)
+        if budget is not None and budget.max_bytes:
+            from ..governor.admission import admit
 
-                # strict per-rank admission: degrading one rank to a
-                # different tier would diverge the SPMD state machines
-                admit(compiled.sdfg, symbols, budget.per_rank(size),
-                      program=compiled.sdfg.name, allow_degrade=False)
-            start_state = None
-            if snapshot is not None:
-                # resume from the checkpoint boundary: restore container
-                # contents in place (rank 0 keeps the caller's buffers) and
-                # rebind symbols, including interstate loop variables
-                start_state = snapshot.state_index
-                snapshot.restore_into(containers)
-                symbols.update(snapshot.symbols)
-            result = compiled.run_prepared(containers, symbols,
-                                           start_state=start_state)
-            if comm.rank == 0:
-                visits_holder.update(compiled.last_state_visits)
-            return result
-        finally:
-            context.set_current(None)
+            # strict per-rank admission: degrading one rank to a different
+            # tier would diverge the SPMD state machines
+            admit(compiled.sdfg, symbols, budget.per_rank(size),
+                  program=compiled.sdfg.name, allow_degrade=False)
+        start_state = None
+        if snapshot is not None:
+            # resume from the checkpoint boundary: restore container contents
+            # in place (rank 0 keeps the caller's buffers) and rebind
+            # symbols, including interstate loop variables
+            start_state = snapshot.state_index
+            snapshot.restore_into(containers)
+            symbols.update(snapshot.symbols)
+        result = compiled.run_prepared(containers, symbols,
+                                       start_state=start_state)
+        if comm.rank == 0:
+            visits_holder.update(compiled.last_state_visits)
+        return result
 
     run = run_spmd_supervised(
         rank_fn, size, net=net, fault_plan=fault_plan, timeout_s=timeout_s,
         ckpt_interval=ckpt_interval, ckpt_comm_ops=ckpt_comm_ops,
-        max_restarts=max_restarts, reset=reset, budget=budget)
+        max_restarts=max_restarts, reset=reset, budget=budget,
+        grid=grid_obj)
     from .commopt.report import build_report
 
     comm_report = build_report(

@@ -8,8 +8,10 @@ are JIT-specialized per argument signature.  ``auto_optimize=True`` with a
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
+import time
 import warnings
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -47,7 +49,6 @@ class DaceProgram:
 
     def __init__(self, func: Callable, auto_optimize: bool = False,
                  device: str = "CPU", fallback: Optional[bool] = None,
-                 backend: str = "codegen",
                  instrument: Optional[str] = None,
                  sanitize: Optional[str] = None,
                  budget=None):
@@ -57,7 +58,6 @@ class DaceProgram:
         self.auto_optimize = auto_optimize
         self.device = device
         self.fallback = fallback
-        self.backend = backend
         #: per-program instrumentation mode; None defers to the
         #: ``instrument.mode`` configuration key
         self.instrument = instrument
@@ -85,6 +85,24 @@ class DaceProgram:
             for name, param in self._signature.parameters.items()
             if param.default is not inspect.Parameter.empty
         }
+        #: descriptors of the annotated parameters, built once; an
+        #: unsupported annotation is reported when the program is first
+        #: used, not when it is decorated
+        self._annotated: Dict[str, Any] = {}
+        self._annotation_error: Optional[UnsupportedFeature] = None
+        try:
+            for name, param in self._signature.parameters.items():
+                if param.annotation is not inspect.Parameter.empty:
+                    self._annotated[name] = _annotation_to_desc(
+                        param.annotation)
+        except UnsupportedFeature as exc:
+            self._annotation_error = exc
+        #: memo key of the annotation descriptors; None when some parameter
+        #: is unannotated and calls specialize per argument signature (JIT)
+        self._annotated_key: Optional[Tuple] = None
+        if self._annotation_error is None \
+                and len(self._annotated) == len(self._signature.parameters):
+            self._annotated_key = self._desc_key(self._annotated)
 
     # -------------------------------------------------------------- descriptors
     def _global_env(self) -> Dict[str, Any]:
@@ -100,28 +118,45 @@ class DaceProgram:
 
     def _annotation_descs(self) -> Optional[Dict[str, Any]]:
         """Descriptors from type annotations, or None if unannotated."""
-        descs: Dict[str, Any] = {}
-        for name, param in self._signature.parameters.items():
-            annotation = param.annotation
-            if annotation is inspect.Parameter.empty:
-                return None
-            descs[name] = _annotation_to_desc(annotation)
-        return descs
+        if self._annotation_error is not None:
+            raise self._annotation_error
+        return self._annotated if self._annotated_key is not None else None
 
-    def _descs_from_args(self, args, kwargs) -> Dict[str, Any]:
+    def _bind(self, args, kwargs) -> Dict[str, Any]:
         bound = self._signature.bind_partial(*args, **kwargs)
         bound.apply_defaults()
+        return bound.arguments
+
+    def _descs_for(self, arguments: Optional[Dict[str, Any]]
+                   ) -> Tuple[Dict[str, Any], Tuple]:
+        """``(descriptors, memo key)`` of one call: the annotations' own
+        for a fully annotated program, else annotations plus descriptors
+        inferred from the bound *arguments* (JIT specialization)."""
+        if self._annotation_error is not None:
+            raise self._annotation_error
+        if self._annotated_key is not None:
+            return self._annotated, self._annotated_key
         descs: Dict[str, Any] = {}
-        for name, param in self._signature.parameters.items():
-            annotation = param.annotation
-            if annotation is not inspect.Parameter.empty:
-                descs[name] = _annotation_to_desc(annotation)
-                continue
-            if name not in bound.arguments:
-                raise TypeError(f"missing argument {name!r} for {self.name}")
-            value = bound.arguments[name]
-            descs[name] = _value_to_desc(value)
-        return descs
+        for name in self._signature.parameters:
+            desc = self._annotated.get(name)
+            if desc is None:
+                if name not in arguments:
+                    raise TypeError(
+                        f"missing argument {name!r} for {self.name}")
+                desc = _value_to_desc(arguments[name])
+            descs[name] = desc
+        return descs, self._desc_key(descs)
+
+    def _descs_of(self, args, kwargs) -> Tuple[Dict[str, Any], Tuple]:
+        """:meth:`_descs_for` from raw call arguments (``to_sdfg`` and
+        ``compile``): binds only when descriptors must be inferred."""
+        if self._annotated_key is not None or self._annotation_error:
+            return self._descs_for(None)
+        if not args and not kwargs:
+            raise UnsupportedFeature(
+                f"{self.name} has unannotated parameters; pass example "
+                f"arguments to to_sdfg() for JIT specialization")
+        return self._descs_for(self._bind(args, kwargs))
 
     @staticmethod
     def _desc_key(descs: Dict[str, Any]) -> Tuple:
@@ -137,114 +172,86 @@ class DaceProgram:
     # ------------------------------------------------------------------ parsing
     def parse_for_descs(self, arg_descs: Dict[str, Any],
                         extra_globals: Optional[Dict[str, Any]] = None) -> SDFG:
+        return self._parse(arg_descs, self._desc_key(arg_descs), extra_globals)
+
+    def _parse(self, descs: Dict[str, Any], key: Tuple,
+               extra_globals: Optional[Dict[str, Any]] = None,
+               simplify: Optional[bool] = None) -> SDFG:
+        """Parse for *descs* (memoized under *key*).  An explicit *simplify*
+        overrides ``optimizer.simplify`` for this parse and is memoized
+        apart from the configured default."""
         from .parser import parse_program
 
-        key = self._desc_key(arg_descs)
-        if key in self._sdfg_cache:
-            return self._sdfg_cache[key]
+        if simplify is not None:
+            key += (simplify,)
+        sdfg = self._sdfg_cache.get(key)
+        if sdfg is not None:
+            return sdfg
         env = self._global_env()
         if extra_globals:
             for name, value in extra_globals.items():
                 env.setdefault(name, value)
         cloned = {name: (desc.clone() if isinstance(desc, Data) else desc)
-                  for name, desc in arg_descs.items()}
-        sdfg = parse_program(self.func, cloned, env, name=self.name,
-                             defaults=self._defaults)
-        if Config.get("optimizer.simplify"):
-            sdfg.simplify()
+                  for name, desc in descs.items()}
+        with (Config.override(optimizer__simplify=simplify)
+              if simplify is not None else contextlib.nullcontext()):
+            sdfg = parse_program(self.func, cloned, env, name=self.name,
+                                 defaults=self._defaults)
+            if Config.get("optimizer.simplify"):
+                sdfg.simplify()
         self._sdfg_cache[key] = sdfg
         return sdfg
 
     def to_sdfg(self, *args, simplify: Optional[bool] = None, **kwargs) -> SDFG:
         """Parse to an SDFG.  Annotated programs need no arguments (AOT);
         unannotated programs specialize to the given example arguments."""
-        descs = self._annotation_descs()
-        if descs is None:
-            if not args and not kwargs:
-                raise UnsupportedFeature(
-                    f"{self.name} has unannotated parameters; pass example "
-                    f"arguments to to_sdfg() for JIT specialization")
-            descs = self._descs_from_args(args, kwargs)
-        if simplify is None:
-            return self.parse_for_descs(descs)
-        with Config.override(optimizer__simplify=simplify):
-            # bypass the cache so the simplify setting takes effect
-            key = self._desc_key(descs) + (simplify,)
-            if key not in self._sdfg_cache:
-                from .parser import parse_program
-
-                cloned = {name: (d.clone() if isinstance(d, Data) else d)
-                          for name, d in descs.items()}
-                sdfg = parse_program(self.func, cloned, self._global_env(),
-                                     name=self.name, defaults=self._defaults)
-                if simplify:
-                    sdfg.simplify()
-                self._sdfg_cache[key] = sdfg
-            return self._sdfg_cache[key]
+        return self._parse(*self._descs_of(args, kwargs), simplify=simplify)
 
     # ---------------------------------------------------------------- execution
     def compile(self, *args, device: Optional[str] = None,
                 instrument: bool = False,
-                sanitize: Optional[bool] = None,
-                govern: Optional[bool] = None, **kwargs):
+                sanitize: Optional[bool] = None, **kwargs):
         """Ahead-of-time compile; returns a CompiledSDFG.
 
         ``instrument=True`` compiles a module with timing hooks (cached
         separately from the plain module); ``sanitize=True`` one with
         bounds/NaN guard calls (``sanitize=None`` defers to the program's
-        resolved sanitizer mode); ``govern=True`` one with cooperative
-        deadline-check ticks at state boundaries (``govern=None``
-        auto-detects an armed deadline on the calling thread).  When a
-        profile collector is active, the compile phases (parse, autoopt,
-        validate, codegen) report their wall time to it — the Fig. 6
-        decomposition.
+        resolved sanitizer mode).  Governed and checkpointed runs use the
+        same module as plain ones.  When a profile collector is active,
+        the compile phases (parse, autoopt, validate, codegen) report their
+        wall time to it — the Fig. 6 decomposition.
 
         Compilation is keyed through the persistent content-addressed cache
         (:mod:`repro.cache`): a hit — even in a fresh process — rehydrates
         the generated module and skips optimization, validation, and code
         generation.
         """
+        if sanitize is None:
+            sanitize = bool(self._sanitize_mode())
+        descs, key = self._descs_of(args, kwargs)
+        return self._compile(descs, key, device or self.device, instrument,
+                             sanitize)
+
+    def _compile(self, descs: Dict[str, Any], key: Tuple, device: str,
+                 instrument: bool, sanitize: bool):
+        memo = (key, device, self.auto_optimize, instrument, sanitize)
+        compiled = self._compiled_cache.get(memo)
+        if compiled is not None:
+            return compiled
         from .. import instrumentation
         from ..cache import cached_compile
 
-        device = device or self.device
         coll = instrumentation.current()
         if coll is not None:
             with coll.region("phase", "parse"):
-                sdfg = self.to_sdfg(*args, **kwargs)
+                sdfg = self._parse(descs, key)
         else:
-            sdfg = self.to_sdfg(*args, **kwargs)
-        if sanitize is None:
-            sanitize = bool(self._sanitize_mode())
-        if govern is None:
-            from ..governor import budget as _gb
-
-            active = _gb.current()
-            govern = active is not None and active.deadline is not None
-        key = (self._desc_key(self.to_sdfg_descs(args, kwargs)), device,
-               self.auto_optimize, instrument, sanitize, govern)
-        if key in self._compiled_cache:
-            return self._compiled_cache[key]
+            sdfg = self._parse(descs, key)
         compiled = cached_compile(
             sdfg, device=device, instrument=instrument, sanitize=sanitize,
-            govern=govern, optimize=device if self.auto_optimize else None)
-        self._compiled_cache[key] = compiled
+            optimize=device if self.auto_optimize else None)
+        self._compiled_cache[memo] = compiled
         return compiled
-
-    def to_sdfg_descs(self, args, kwargs) -> Dict[str, Any]:
-        descs = self._annotation_descs()
-        if descs is None:
-            descs = self._descs_from_args(args, kwargs)
-        return descs
-
-    def _bind_call_kwargs(self, args, kwargs) -> Dict[str, Any]:
-        bound = self._signature.bind_partial(*args, **kwargs)
-        bound.apply_defaults()
-        call_kwargs = {}
-        for name, value in bound.arguments.items():
-            if isinstance(value, (np.ndarray, np.generic, int, float, complex, bool)):
-                call_kwargs[name] = value
-        return call_kwargs
 
     def _sanitize_mode(self) -> str:
         """Resolved sanitizer mode: a comma-joined guard set, "" when off."""
@@ -263,264 +270,194 @@ class DaceProgram:
             return "off"
         return "timers" if mode is True else str(mode)
 
-    def __call__(self, *args, **kwargs):
-        # reserved keyword: a per-call governor budget (never a program arg)
-        budget = kwargs.pop("__budget", None)
-        smode = self._sanitize_mode()
-        if smode:
-            from ..sanitizer import guards
-
-            with guards.sanitize(smode, program=self.name):
-                return self._call_impl(args, kwargs, budget)
-        return self._call_impl(args, kwargs, budget)
-
-    def _call_impl(self, args, kwargs, budget=None):
-        from ..governor import Budget
-
-        resolved = Budget.resolve(
-            budget if budget is not None else self.budget)
-        if not resolved.is_null:
-            return self._call_governed(args, kwargs, resolved)
-        return self._dispatch_call(args, kwargs)
-
-    def _dispatch_call(self, args, kwargs):
-        if self._instrument_mode() != "off":
-            return self._call_instrumented(args, kwargs)
-        if Config.get("resilience.mode") == "degrade":
-            return self._call_degrading(args, kwargs)
-        fallback = self.fallback
-        try:
-            compiled = self.compile(*args, **kwargs)
-        except UnsupportedFeature as exc:
-            if fallback:
-                warnings.warn(
-                    f"{self.name}: falling back to the Python interpreter "
-                    f"({exc})", RuntimeWarning, stacklevel=2)
-                return self.func(*args, **kwargs)
-            raise
-        return compiled(**self._bind_call_kwargs(args, kwargs))
-
-    # ------------------------------------------------------------- governor
-    def _breaker_key(self, args, kwargs) -> str:
+    def _breaker_key(self, arguments: Dict[str, Any]) -> str:
         """Circuit key: the content-addressed fingerprint of the parsed
         graph (structurally identical programs share a circuit; any edit
         gets a fresh, closed one).  Memoized per argument-descriptor
         signature; falls back to the program name when parsing fails."""
         try:
-            dkey = self._desc_key(self.to_sdfg_descs(args, kwargs))
+            descs, dkey = self._descs_for(arguments)
         except Exception:
             return f"program:{self.name}"
-        cached = self._breaker_keys.get(dkey)
-        if cached is not None:
-            return cached
-        try:
-            from ..cache import fingerprint
+        key = self._breaker_keys.get(dkey)
+        if key is None:
+            try:
+                from ..cache import fingerprint
 
-            key = fingerprint(self.to_sdfg(*args, **kwargs))
-        except Exception:
-            key = f"program:{self.name}"
-        self._breaker_keys[dkey] = key
+                key = fingerprint(self._parse(descs, dkey))
+            except Exception:
+                key = f"program:{self.name}"
+            self._breaker_keys[dkey] = key
         return key
 
-    def _call_governed(self, args, kwargs, budget):
-        """Execute under a non-null budget: breaker gate, memory admission,
-        deadline arming (see DESIGN.md §12).
+    def __call__(self, *args, **kwargs):
+        """Bind the arguments and resolve the sanitizer, instrumentation and
+        governor modes once, enter whichever of them is on, and dispatch.
 
-        Compilation runs *before* the watchdog is armed — the deadline
-        bounds execution, not the (cached, one-time) compile.  Terminal
-        failures feed the program's circuit; an open circuit fast-fails
-        with the cached failure history before any re-parse or re-compile.
+        A governed call (non-null budget, see DESIGN.md §12) goes through
+        the program's circuit breaker, compiles *before* the deadline is
+        armed — the deadline bounds execution, not the cached one-time
+        compile — and is admission-checked against ``max_bytes``; an open
+        circuit fast-fails before any parse or compile.  An instrumented
+        call reports into the enclosing profile collector if there is one,
+        else into a fresh one whose report lands on ``last_profile``.
         """
-        import time
+        from ..governor import Budget
 
-        from ..governor import CircuitOpenError, armed, breaker_registry
-
-        registry = breaker_registry()
-        key = self._breaker_key(args, kwargs)
-        registry.before_call(key, self.name)
-
-        decision = None
-        start = time.perf_counter()
-        try:
-            if budget.max_bytes:
-                decision = self._admit(args, kwargs, budget)
-            if budget.deadline_s:
-                # pre-warm the governed module outside the deadline window;
-                # dispatch re-raises compile errors with full context
-                try:
-                    self.compile(
-                        *args, govern=True,
-                        instrument=self._instrument_mode() != "off",
-                        **kwargs)
-                except Exception:
-                    pass
-            with armed(budget, program=self.name):
-                if decision is not None and decision.action == "degrade-serial":
-                    with Config.override(device__cpu_threads=1):
-                        result = self._dispatch_call(args, kwargs)
-                else:
-                    result = self._dispatch_call(args, kwargs)
-        except CircuitOpenError:
-            raise
-        except Exception as exc:
-            elapsed = time.perf_counter() - start
-            registry.record_failure(key, exc, program=self.name,
-                                    elapsed_s=elapsed)
-            self.failure_report.record(
-                "governor", self.name, exc, "terminal-failure",
-                seconds=elapsed)
-            raise
-        registry.record_success(key, self.name)
-        return result
-
-    def _admit(self, args, kwargs, budget):
-        """Price the planned allocations against ``budget.max_bytes``
-        before anything is allocated; returns the AdmissionDecision, or
-        None when the program cannot be parsed (the dispatch fallback
-        path owns that case)."""
-        from ..governor import admit
-        from ..runtime.executor import prepare_arguments
-
-        try:
-            sdfg = self.to_sdfg(*args, **kwargs)
-        except UnsupportedFeature:
-            return None
-        _, symbols = prepare_arguments(
-            sdfg, (), self._bind_call_kwargs(args, kwargs))
-        return admit(sdfg, symbols, budget, program=self.name)
-
-    def _call_instrumented(self, args, kwargs):
-        """Instrumented execution: compile phases, per-region timers, and
-        (in degrade mode) attempt records all land in a profile collector.
-
-        If a collector is already active (an enclosing
-        :func:`repro.instrumentation.profile` block), events aggregate into
-        it; otherwise a fresh collector is created and its report stored on
-        ``self.last_profile``.
-        """
-        import contextlib
+        # reserved keyword: a per-call governor budget (never a program arg)
+        budget = kwargs.pop("__budget", None)
+        arguments = self._bind(args, kwargs)
+        sanitize = self._sanitize_mode()
+        mode = self._instrument_mode()
+        instrument = mode != "off"
+        budget = Budget.resolve(budget if budget is not None else self.budget)
+        if not sanitize and not instrument and budget.is_null:
+            return self._dispatch(args, kwargs, arguments, False, False)
 
         from .. import instrumentation
+        from ..governor import breaker_registry, governed
+        from ..runtime.executor import prepare_arguments
+        from ..sanitizer import guards
 
-        mode = self._instrument_mode()
-        outer = instrumentation.current()
-        ctx = (contextlib.nullcontext(outer) if outer is not None
-               else instrumentation.profile(self.name, mode=mode))
-        with ctx as coll:
-            if Config.get("resilience.mode") == "degrade":
-                result = self._call_degrading(args, kwargs)
-            else:
-                result = self._run_instrumented(args, kwargs, coll)
-        if outer is None:
-            self.last_profile = coll.report(device=self.device)
+        own = None
+        with contextlib.ExitStack() as modes:
+            if sanitize:
+                modes.enter_context(
+                    guards.sanitize(sanitize, program=self.name))
+            if instrument and instrumentation.current() is None:
+                own = modes.enter_context(
+                    instrumentation.profile(self.name, mode=mode))
+            if not budget.is_null:
+                modes.enter_context(breaker_registry().guard(
+                    self._breaker_key(arguments), self.name,
+                    self.failure_report))
+                if budget.deadline_s:
+                    # errors resurface, with full context, from the dispatch
+                    with contextlib.suppress(Exception):
+                        self._compile(*self._descs_for(arguments),
+                                      self.device, instrument, bool(sanitize))
+                sdfg = symbols = None
+                if budget.max_bytes:
+                    # the dispatch fallback owns unparseable programs
+                    with contextlib.suppress(UnsupportedFeature):
+                        sdfg = self._parse(*self._descs_for(arguments))
+                        symbols = prepare_arguments(
+                            sdfg, (), _call_kwargs(arguments))[1]
+                modes.enter_context(
+                    governed(budget, sdfg, symbols, program=self.name))
+            result = self._dispatch(args, kwargs, arguments, bool(sanitize),
+                                    instrument)
+        if own is not None:
+            self.last_profile = own.report(device=self.device)
         return result
 
-    def _run_instrumented(self, args, kwargs, coll):
-        fallback = self.fallback
-        try:
-            with coll.region("phase", "compile"):
-                compiled = self.compile(*args, instrument=True, **kwargs)
-        except UnsupportedFeature as exc:
-            if fallback:
-                warnings.warn(
-                    f"{self.name}: falling back to the Python interpreter "
-                    f"({exc})", RuntimeWarning, stacklevel=3)
-                with coll.region("phase", "execute"):
-                    return self.func(*args, **kwargs)
-            raise
-        with coll.region("phase", "execute"):
-            return compiled(**self._bind_call_kwargs(args, kwargs))
+    def _dispatch(self, args, kwargs, arguments: Dict[str, Any],
+                  sanitize: bool, instrument: bool):
+        """Run the call down its tier list and return the first result.
 
-    def _call_degrading(self, args, kwargs):
-        """Graceful-degradation execution (``resilience.mode = "degrade"``).
-
-        Fallback chain: compiled/optimized SDFG → unoptimized SDFG on the
-        reference interpreter → the original Python function.  Arrays are
-        modified in place by the first two stages, so their input contents
-        are checkpointed and restored between attempts — a stage that dies
-        halfway through must not poison the next stage's inputs.
-
-        Every attempt is timed: ``self.last_attempts`` lists which tiers
-        ran and for how long, failed tiers are recorded in
-        ``self.failure_report`` with their duration, and an active profile
-        collector receives the same attempt records.
+        The list is ``[compiled]``; ``fallback=True`` appends the original
+        Python function for programs the frontend cannot parse
+        (``UnsupportedFeature``), and ``resilience.mode = "degrade"`` makes
+        it compiled → unoptimized SDFG on the reference interpreter →
+        Python function, advancing on any failure.  The first two tiers
+        modify arrays in place, so in degrade mode their input contents are
+        checkpointed and restored between attempts — a stage that dies
+        halfway must not poison the next stage's inputs — and every attempt
+        is timed into ``last_attempts``, ``failure_report`` and the active
+        profile collector.  Governor errors never advance: a timeout
+        retried on a slower tier times out again.
         """
-        import time
-
         from .. import instrumentation
         from ..governor import GovernorError
         from ..resilience import ResilienceWarning
+        from ..runtime.executor import run_sdfg
 
+        call_kwargs = _call_kwargs(arguments)
+        degrade = Config.get("resilience.mode") == "degrade"
         coll = instrumentation.current()
-        attempts: list = []
-        self.last_attempts = attempts
 
-        checkpoints = [(value, np.copy(value)) for value in
-                       list(args) + list(kwargs.values())
-                       if isinstance(value, np.ndarray)]
+        def phase(name: str):
+            return (coll.region("phase", name) if instrument
+                    else contextlib.nullcontext())
 
-        def restore_inputs() -> None:
-            for live, saved in checkpoints:
-                np.copyto(live, saved)
+        def compiled_tier():
+            with phase("compile"):
+                compiled = self._compile(
+                    *self._descs_for(arguments), self.device,
+                    instrument or (degrade and coll is not None), sanitize)
+            with phase("execute"):
+                return compiled(**call_kwargs)
 
-        def note(stage: str, ok: bool, seconds: float,
-                 exc: Optional[BaseException] = None) -> None:
-            error = f"{type(exc).__name__}: {exc}" if exc is not None else ""
-            attempts.append({"stage": stage, "ok": ok, "seconds": seconds,
-                             "error": error})
+        def python_tier():
+            with phase("execute"):
+                return self.func(*args, **kwargs)
+
+        def note(stage: str, ok: bool, seconds: float, error: str = ""):
+            self.last_attempts.append({"stage": stage, "ok": ok,
+                                       "seconds": seconds, "error": error})
             if coll is not None:
                 coll.attempt(stage, ok, seconds, error)
 
-        def degrade(stage: str, fallback: str, exc: BaseException,
-                    seconds: float) -> None:
-            note(stage, False, seconds, exc)
-            self.failure_report.record(
-                "degradation", self.name, exc, f"fell-back:{fallback}",
-                stage=stage, seconds=seconds)
-            warnings.warn(
-                f"{self.name}: {stage} execution failed "
-                f"({type(exc).__name__}: {exc}); degrading to {fallback}",
-                ResilienceWarning, stacklevel=3)
-            restore_inputs()
+        tiers = [("compiled", compiled_tier)]
+        advance_on: Any = ()
+        if degrade:
+            tiers += [("interpreter", lambda: run_sdfg(
+                          self._parse(*self._descs_for(arguments)),
+                          **call_kwargs)),
+                      ("python", python_tier)]
+            advance_on = Exception
+            self.last_attempts = []
+            checkpoints = [(value, np.copy(value))
+                           for value in arguments.values()
+                           if isinstance(value, np.ndarray)]
+        elif self.fallback:
+            tiers.append(("python", python_tier))
+            advance_on = UnsupportedFeature
 
-        start = time.perf_counter()
-        try:
-            compiled = self.compile(*args, instrument=coll is not None,
-                                    **kwargs)
-            result = compiled(**self._bind_call_kwargs(args, kwargs))
-        except GovernorError:
-            # timeouts/cancellations are deterministic on slower tiers;
-            # degrading would re-run past the deadline unguarded
-            raise
-        except Exception as exc:
-            degrade("compiled", "interpreter", exc,
-                    time.perf_counter() - start)
-        else:
-            note("compiled", True, time.perf_counter() - start)
-            return result
-
-        start = time.perf_counter()
-        try:
-            from ..runtime.executor import run_sdfg
-
-            sdfg = self.to_sdfg(*args, **kwargs)
-            result = run_sdfg(sdfg, **self._bind_call_kwargs(args, kwargs))
-        except GovernorError:
-            raise
-        except Exception as exc:
-            degrade("interpreter", "python", exc,
-                    time.perf_counter() - start)
-        else:
-            note("interpreter", True, time.perf_counter() - start)
-            return result
-
-        start = time.perf_counter()
-        result = self.func(*args, **kwargs)
-        note("python", True, time.perf_counter() - start)
-        return result
+        for position, (stage, run) in enumerate(tiers):
+            start = time.perf_counter()
+            try:
+                result = run()
+            except GovernorError:
+                raise
+            except advance_on as exc:
+                if position == len(tiers) - 1:
+                    raise
+                following = tiers[position + 1][0]
+                if not degrade:
+                    warnings.warn(
+                        f"{self.name}: falling back to the Python "
+                        f"interpreter ({exc})", RuntimeWarning, stacklevel=3)
+                    continue
+                seconds = time.perf_counter() - start
+                error = f"{type(exc).__name__}: {exc}"
+                note(stage, False, seconds, error)
+                self.failure_report.record(
+                    "degradation", self.name, exc, f"fell-back:{following}",
+                    stage=stage, seconds=seconds)
+                warnings.warn(
+                    f"{self.name}: {stage} execution failed ({error}); "
+                    f"degrading to {following}", ResilienceWarning,
+                    stacklevel=3)
+                for live, saved in checkpoints:
+                    np.copyto(live, saved)
+            else:
+                if degrade:
+                    note(stage, True, time.perf_counter() - start)
+                return result
 
     def __repr__(self) -> str:
         return f"DaceProgram({self.name})"
+
+
+#: argument values the generated module accepts; anything else (e.g. a
+#: nested program passed as a default) is resolved by the parser
+_ARG_TYPES = (np.ndarray, np.generic, int, float, complex, bool)
+
+
+def _call_kwargs(arguments: Dict[str, Any]) -> Dict[str, Any]:
+    return {name: value for name, value in arguments.items()
+            if isinstance(value, _ARG_TYPES)}
 
 
 def _annotation_to_desc(annotation) -> Any:
@@ -545,12 +482,13 @@ def _value_to_desc(value) -> Data:
 
 def program(func: Optional[Callable] = None, *, auto_optimize: bool = False,
             device: str = "CPU", fallback: Optional[bool] = None,
-            backend: str = "codegen", instrument: Optional[str] = None,
+            instrument: Optional[str] = None,
             sanitize: Optional[str] = None, budget=None):
     """Decorator marking a function as a data-centric program.
 
-    Usable bare (``@repro.program``) or with options
-    (``@repro.program(auto_optimize=True, device="GPU")``).
+    Usable bare (``@repro.program``), with options
+    (``@repro.program(auto_optimize=True, device="GPU")``), or as a plain
+    call (``repro.program(func, auto_optimize=True)``).
     ``instrument="timers"`` forces profiling for this program;
     ``sanitize="bounds,nan"`` enables runtime guards (bounds/NaN checks in
     both the interpreter and the generated module);
@@ -560,13 +498,9 @@ def program(func: Optional[Callable] = None, *, auto_optimize: bool = False,
     (``instrument.mode`` / ``sanitize.mode`` / ``governor.*``).  A single
     call can also be governed via the reserved ``__budget`` keyword.
     """
-    if func is not None:
-        return DaceProgram(func)
-
     def wrapper(f: Callable) -> DaceProgram:
         return DaceProgram(f, auto_optimize=auto_optimize, device=device,
-                           fallback=fallback, backend=backend,
-                           instrument=instrument, sanitize=sanitize,
-                           budget=budget)
+                           fallback=fallback, instrument=instrument,
+                           sanitize=sanitize, budget=budget)
 
-    return wrapper
+    return wrapper if func is None else wrapper(func)

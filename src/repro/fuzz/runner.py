@@ -32,7 +32,8 @@ from ..autoopt import auto_optimize
 from ..codegen import compile_sdfg
 from ..config import Config
 from ..runtime.executor import run_sdfg
-from ..sanitizer.oracle import compare_values
+from ..sanitizer.oracle import (compare_outputs, fresh_inputs,
+                                harvest_outputs)
 from .gen import GenCase, generate_case, render_module
 from .mutate import DEFAULT_VARIANT, variant_overrides
 
@@ -123,31 +124,6 @@ def _make_inputs(arrays: Dict[str, dict], scalars: Sequence[str],
     return out
 
 
-def _fresh(inputs: Dict[str, object]) -> Dict[str, object]:
-    return {k: (np.array(v, copy=True) if isinstance(v, np.ndarray) else v)
-            for k, v in inputs.items()}
-
-
-def _harvest(args: Dict[str, object], returned) -> Dict[str, object]:
-    got = {k: v for k, v in args.items() if isinstance(v, np.ndarray)}
-    if returned is not None:
-        got["__return"] = returned
-    return got
-
-
-def _compare(expected: Dict[str, object],
-             actual: Dict[str, object]) -> List[str]:
-    out = []
-    for name in sorted(expected):
-        if name not in actual:
-            out.append(f"{name}: missing from outputs")
-            continue
-        msg = compare_values(expected[name], actual[name], name)
-        if msg:
-            out.append(msg)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # One case across the tiers
 # ---------------------------------------------------------------------------
@@ -200,8 +176,8 @@ def run_source_case(source: str, arrays: Dict[str, dict],
 
         # --- reference tier ------------------------------------------------
         try:
-            args = _fresh(inputs)
-            expected = _harvest(args, module.fuzz_ref(**args))
+            args = fresh_inputs(inputs)
+            expected = harvest_outputs(args, module.fuzz_ref(**args))
             result.stages["python"] = "ok"
         except Exception as exc:
             result.verdict = "invalid"
@@ -218,12 +194,12 @@ def run_source_case(source: str, arrays: Dict[str, dict],
 
         def run_stage(stage: str, runner) -> bool:
             try:
-                args = _fresh(inputs)
-                got = _harvest(args, runner(args))
+                args = fresh_inputs(inputs)
+                got = harvest_outputs(args, runner(args))
             except Exception as exc:
                 fail(stage, f"error: {type(exc).__name__}: {exc}")
                 return False
-            mismatches = _compare(expected, got)
+            mismatches = compare_outputs(expected, got)
             if mismatches:
                 fail(stage, "mismatch: " + "; ".join(mismatches[:3]))
                 return False
@@ -236,10 +212,10 @@ def run_source_case(source: str, arrays: Dict[str, dict],
             # second compile of the identical SDFG hits the persistent
             # cache; results must be bitwise identical to the cold run
             try:
-                cold = _fresh(inputs)
-                got_cold = _harvest(cold, compile_sdfg(base.clone())(**cold))
-                warm = _fresh(inputs)
-                got_warm = _harvest(warm, compile_sdfg(base.clone())(**warm))
+                cold = fresh_inputs(inputs)
+                got_cold = harvest_outputs(cold, compile_sdfg(base.clone())(**cold))
+                warm = fresh_inputs(inputs)
+                got_warm = harvest_outputs(warm, compile_sdfg(base.clone())(**warm))
                 for name in sorted(got_cold):
                     if not np.array_equal(np.asarray(got_cold[name]),
                                           np.asarray(got_warm.get(name))):

@@ -13,11 +13,12 @@ chain (§7), state-boundary hooks (§10), and descriptor machinery:
   privatized transients) and rejects over-budget runs *before* allocation
   with an itemized :class:`MemoryBudgetExceeded` — or degrades to the
   serial tier when that fits.
-* :mod:`~repro.governor.budget` arms a monotonic watchdog per run; the
-  interpreter loop, generated modules (``__tick``, a separate cache-key
-  variant like ``sanitize``), parallel chunk boundaries and simmpi op
+* :mod:`~repro.governor.budget` arms a monotonic watchdog per run in the
+  thread's execution context (:mod:`repro.runtime.context`); the state
+  boundary both engines call, parallel chunk boundaries and simmpi op
   polling check it cooperatively, raising :class:`ExecutionTimeout` naming
-  the last-completed state.
+  the last-completed state.  Governed and plain runs execute the same
+  generated module.
 * :mod:`~repro.governor.breaker` fast-fails programs that keep failing,
   keyed by the content-addressed cache fingerprint, with half-open probes
   after ``governor.cooldown_s``.
@@ -27,18 +28,17 @@ budgets and writes ``GOVERNOR.json`` (schema ``repro-governor/1``).
 """
 
 from .admission import (AdmissionDecision, MemoryBudgetExceeded, MemoryPlan,
-                        PlanItem, admit, plan_memory)
+                        PlanItem, admit, governed, plan_memory)
 from .breaker import (BreakerRegistry, BreakerState, CircuitOpenError,
                       registry as breaker_registry, reset_breakers)
 from .budget import (ArmedBudget, Budget, ExecutionCancelled,
-                     ExecutionTimeout, GovernorError, adopt, armed, current,
-                     tick)
+                     ExecutionTimeout, GovernorError, armed)
 
 __all__ = [
     "Budget", "ArmedBudget", "GovernorError", "ExecutionTimeout",
-    "ExecutionCancelled", "armed", "adopt", "current", "tick",
+    "ExecutionCancelled", "armed",
     "MemoryBudgetExceeded", "MemoryPlan", "PlanItem", "AdmissionDecision",
-    "admit", "plan_memory",
+    "admit", "governed", "plan_memory",
     "CircuitOpenError", "BreakerState", "BreakerRegistry",
     "breaker_registry", "reset_breakers",
 ]

@@ -22,14 +22,15 @@ under the provided bindings (data-dependent bounds) are itemized with
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from .budget import Budget, GovernorError
+from .budget import ArmedBudget, Budget, GovernorError, armed
 
 __all__ = [
     "PlanItem", "MemoryPlan", "MemoryBudgetExceeded", "AdmissionDecision",
-    "plan_memory", "admit",
+    "plan_memory", "admit", "governed",
 ]
 
 
@@ -274,3 +275,25 @@ def admit(sdfg, symbols: Dict[str, Any], budget: Budget,
     if coll is not None:
         coll.add("governor", f"admission-reject:{program}", 0.0)
     raise MemoryBudgetExceeded(program, plan, max_bytes)
+
+
+@contextlib.contextmanager
+def governed(budget: Budget, sdfg, symbols: Optional[Dict[str, Any]],
+             program: str = "") -> Iterator[Optional[ArmedBudget]]:
+    """Run the block under *budget*: the prologue every governed execution
+    shares (``run_sdfg``, ``DaceProgram.__call__``).
+
+    The memory plan of *sdfg* under *symbols* is admission-checked before
+    anything is allocated (skipped when *sdfg* is None or the budget has no
+    ``max_bytes``), then the deadline is armed for the block.  When only
+    the serial tier's plan was admitted, the worker count is pinned to 1 so
+    no per-chunk accumulators or privatized copies materialize.
+    """
+    from ..config import Config
+
+    decision = (admit(sdfg, symbols, budget, program=program)
+                if sdfg is not None and budget.max_bytes else None)
+    with contextlib.ExitStack() as stack:
+        if decision is not None and decision.action == "degrade-serial":
+            stack.enter_context(Config.override(device__cpu_threads=1))
+        yield stack.enter_context(armed(budget, program=program))

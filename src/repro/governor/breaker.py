@@ -26,10 +26,11 @@ zero-overhead-when-off guarantee for ungoverned callers.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from .budget import GovernorError
 
@@ -160,6 +161,31 @@ class BreakerRegistry:
         if opened:
             self._emit(f"breaker-open:{program or key[:12]}")
         return opened
+
+    @contextlib.contextmanager
+    def guard(self, key: str, program: str = "",
+              report=None) -> Iterator[None]:
+        """Gate the block through circuit *key* and feed its outcome back.
+
+        An open circuit fast-fails on entry.  A terminal failure of the
+        block counts toward opening the circuit and is recorded in *report*
+        (a :class:`~repro.resilience.FailureReport`) with its duration;
+        a nested program's fast-fail passing through does not count.
+        """
+        self.before_call(key, program)
+        start = time.perf_counter()
+        try:
+            yield
+        except CircuitOpenError:
+            raise
+        except Exception as exc:
+            elapsed = time.perf_counter() - start
+            self.record_failure(key, exc, program=program, elapsed_s=elapsed)
+            if report is not None:
+                report.record("governor", program, exc, "terminal-failure",
+                              seconds=elapsed)
+            raise
+        self.record_success(key, program)
 
     # ------------------------------------------------------------ inspection
     def state(self, key: str) -> Optional[Dict[str, Any]]:

@@ -8,20 +8,16 @@ peak memory (``max_bytes``, enforced by :mod:`repro.governor.admission`
 or ambiently through the ``governor.deadline_s`` / ``governor.max_bytes``
 configuration keys.
 
-Arming a budget creates an :class:`ArmedBudget` bound to the current thread
-plus a monotonic-clock watchdog (a daemon :class:`threading.Timer`) that
-flips the ``expired`` flag at the deadline.  Cancellation is *cooperative*:
-the runtime checks the armed budget at the same state-boundary sites the
-checkpoint hooks use (interpreter state loop, the generated module's
-``__tick`` call, parallel chunk boundaries, simmpi op polling), so a
-timed-out run raises :class:`ExecutionTimeout` naming the last-completed
-state instead of hanging CI or a serving process.  A blocked tasklet cannot
-be preempted — the guarantee is "raises at the next boundary", which for
-SDFG state machines means within one state's work of the deadline.
-
-Zero overhead when off: every check site reads one thread-local slot and
-branches on ``None`` (the established single-check pattern of
-:mod:`repro.instrumentation` and :mod:`repro.resilience.hooks`).
+Arming a budget creates an :class:`ArmedBudget` in the calling thread's
+execution context (:mod:`repro.runtime.context`) plus a monotonic-clock
+watchdog (a daemon :class:`threading.Timer`) that flips the ``expired``
+flag at the deadline.  Cancellation is *cooperative*: the armed budget is
+checked at the state boundary both engines call, at parallel chunk
+boundaries and in simmpi op polling, so a timed-out run raises
+:class:`ExecutionTimeout` naming the last-completed state instead of
+hanging CI or a serving process.  A blocked tasklet cannot be preempted —
+the guarantee is "raises at the next boundary", which for SDFG state
+machines means within one state's work of the deadline.
 """
 
 from __future__ import annotations
@@ -31,9 +27,11 @@ import threading
 import time
 from typing import Any, Dict, Iterator, Optional
 
+from ..runtime import context as _context
+
 __all__ = [
     "Budget", "ArmedBudget", "GovernorError", "ExecutionTimeout",
-    "ExecutionCancelled", "armed", "adopt", "current", "tick",
+    "ExecutionCancelled", "armed",
 ]
 
 
@@ -137,7 +135,7 @@ class ArmedBudget:
     sites update."""
 
     __slots__ = ("budget", "program", "started", "deadline", "expired",
-                 "cancel_reason", "last_state", "_entered", "_timer")
+                 "cancel_reason", "_completed", "_entered", "_timer")
 
     def __init__(self, budget: Budget, program: str = "",
                  deadline_at: Optional[float] = None):
@@ -152,23 +150,26 @@ class ArmedBudget:
             self.deadline = None
         self.expired = False
         self.cancel_reason: Optional[str] = None
-        self.last_state: Optional[str] = None
-        self._entered: Optional[str] = None
+        #: (sdfg, state) boundary sites, kept raw: a label is only looked
+        #: up when an error or a caller asks for ``last_state``
+        self._completed: Optional[tuple] = None
+        self._entered: Optional[tuple] = None
         self._timer: Optional[threading.Timer] = None
 
     # ------------------------------------------------------------ watchdog
     def _expire(self) -> None:
         self.expired = True
 
-    def arm_watchdog(self) -> None:
-        if self.deadline is None or self._timer is not None:
-            return
-        delay = max(0.0, self.deadline - time.monotonic())
-        self._timer = threading.Timer(delay, self._expire)
-        self._timer.daemon = True
-        self._timer.start()
+    def __enter__(self) -> "ArmedBudget":
+        """Start the watchdog (the budget is live for the ``with`` block)."""
+        if self.deadline is not None and self._timer is None:
+            delay = max(0.0, self.deadline - time.monotonic())
+            self._timer = threading.Timer(delay, self._expire)
+            self._timer.daemon = True
+            self._timer.start()
+        return self
 
-    def disarm(self) -> None:
+    def __exit__(self, *exc_info) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -199,29 +200,24 @@ class ArmedBudget:
             raise ExecutionTimeout(self.program, deadline_s, elapsed,
                                    self.last_state)
 
-    def boundary(self, label: str) -> None:
+    def boundary(self, sdfg, state) -> None:
         """State-boundary tick: the previously entered state has completed;
-        check the budget before entering *label*."""
-        if self._entered is not None:
-            self.last_state = self._entered
-        self._entered = label
+        check the budget before entering *state* of *sdfg* (an index into
+        ``sdfg.topological_states()`` or the state object)."""
+        self._completed = self._entered
+        self._entered = (sdfg, state)
         self.check()
+
+    @property
+    def last_state(self) -> Optional[str]:
+        """Label of the last state that ran to completion, or None."""
+        if self._completed is None:
+            return None
+        return _context.state_label(*self._completed)
 
     def __repr__(self) -> str:
         return (f"ArmedBudget({self.program!r}, deadline={self.deadline}, "
                 f"last_state={self.last_state!r})")
-
-
-# ---------------------------------------------------------------------------
-# thread-local arming (the single-check activation pattern)
-# ---------------------------------------------------------------------------
-
-_tls = threading.local()
-
-
-def current() -> Optional[ArmedBudget]:
-    """The budget armed on this thread, or None (the off fast path)."""
-    return getattr(_tls, "armed", None)
 
 
 @contextlib.contextmanager
@@ -229,40 +225,14 @@ def armed(budget: Optional[Budget], program: str = "",
           deadline_at: Optional[float] = None) -> Iterator[Optional[ArmedBudget]]:
     """Arm *budget* for the dynamic extent of the block on this thread.
 
-    A null/None budget arms nothing (yields None).  Nested armings stack;
-    the watchdog is disarmed and the previous budget restored on exit.
+    A null/None budget arms nothing (yields None).  The armed budget rides
+    a copy of the thread's execution context, so whatever else the thread
+    carries stays in force; nested armings stack, and on exit the watchdog
+    is disarmed and the previous context restored.
     """
     if budget is None or budget.is_null:
         yield None
         return
-    a = ArmedBudget(budget, program=program, deadline_at=deadline_at)
-    a.arm_watchdog()
-    prev = getattr(_tls, "armed", None)
-    _tls.armed = a
-    try:
+    with ArmedBudget(budget, program=program, deadline_at=deadline_at) as a, \
+            _context.installed(_context.derive(_context.current(), budget=a)):
         yield a
-    finally:
-        _tls.armed = prev
-        a.disarm()
-
-
-@contextlib.contextmanager
-def adopt(a: Optional[ArmedBudget]) -> Iterator[None]:
-    """Install an already-armed budget on this thread (pool workers: the
-    dispatching thread's budget must govern its chunk bodies too)."""
-    if a is None:
-        yield
-        return
-    prev = getattr(_tls, "armed", None)
-    _tls.armed = a
-    try:
-        yield
-    finally:
-        _tls.armed = prev
-
-
-def tick() -> None:
-    """Manual cooperative check site (simmpi op polling and friends)."""
-    a = getattr(_tls, "armed", None)
-    if a is not None:
-        a.check()

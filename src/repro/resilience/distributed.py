@@ -31,6 +31,7 @@ discipline so a partially-written file is never observed.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import os
@@ -43,12 +44,11 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..config import Config
-from ..governor.budget import Budget, GovernorError
-from ..governor.budget import armed as _governor_armed
+from ..governor.budget import ArmedBudget, Budget, GovernorError
+from ..runtime import context as _context
 from ..simmpi.comm import (Comm, DeadlockError, SimMPIError, _AbortedByPeer,
                            _launch, _raise_failures, _World, primary_failures)
 from ..simmpi.netmodel import FaultPlan, NetModel
-from . import hooks
 
 __all__ = [
     "RankSnapshot", "WorldCheckpoint", "CheckpointStore", "CheckpointManager",
@@ -227,8 +227,8 @@ class CheckpointStore:
 class CheckpointManager:
     """Coordinates checkpoint rounds for one epoch's world.
 
-    Every rank enters a *round* at every state boundary (the hook installed
-    through :mod:`repro.resilience.hooks`): it deposits a
+    Every rank enters a *round* at every state boundary (the hook carried
+    by its :class:`~repro.runtime.context.ExecutionContext`): it deposits a
     ``(boundary, wants_checkpoint)`` decision, rendezvouses, and all ranks
     deterministically agree on whether to commit — only if every rank sits
     at the *same* boundary (comm-op-triggered rounds where ranks diverge
@@ -271,7 +271,7 @@ class CheckpointManager:
         finally:
             world.pending[rank] = None
 
-    def hook(self, comm: Comm) -> hooks.BoundaryHook:
+    def hook(self, comm: Comm) -> _context.BoundaryHook:
         """The per-rank boundary hook driving checkpoint rounds."""
         rank = comm.rank
         transitions = [0]
@@ -393,7 +393,8 @@ def run_spmd_supervised(rank_fn: Callable[[Comm, Optional[RankSnapshot]], Any],
                         max_restarts: Optional[int] = None,
                         reset: Optional[Callable[[], None]] = None,
                         spill_dir: Optional[str] = None,
-                        budget: Optional[Budget] = None) -> SupervisedRun:
+                        budget: Optional[Budget] = None,
+                        grid=None) -> SupervisedRun:
     """Run ``rank_fn(comm, snapshot)`` on *size* ranks under supervision.
 
     ``snapshot`` is None on a fresh start and the rank's
@@ -405,6 +406,10 @@ def run_spmd_supervised(rank_fn: Callable[[Comm, Optional[RankSnapshot]], Any],
     diagnostic dump).  Parameters default to the ``resilience.*``
     configuration keys.
 
+    Each rank thread installs one execution context for its whole run: its
+    communicator (with the process *grid*, default ``ProcessGrid(size)``),
+    its checkpoint hook and its armed budget.
+
     A governor *budget* arms every rank thread with its
     :meth:`~repro.governor.Budget.per_rank` slice against ONE absolute
     deadline fixed before the first epoch — restarts replay work but never
@@ -414,6 +419,7 @@ def run_spmd_supervised(rank_fn: Callable[[Comm, Optional[RankSnapshot]], Any],
     :class:`UnrecoveredError`.
     """
     from .. import instrumentation
+    from ..distributed.context import DistContext
 
     net = net or NetModel.from_config()
     interval = (Config.get("resilience.ckpt_interval")
@@ -426,6 +432,8 @@ def run_spmd_supervised(rank_fn: Callable[[Comm, Optional[RankSnapshot]], Any],
     deadline_at: Optional[float] = None
     if budget is not None and not budget.is_null:
         rank_budget = budget.per_rank(size)
+        if rank_budget.is_null:
+            rank_budget = None
         if budget.deadline_s is not None:
             deadline_at = time.monotonic() + budget.deadline_s
     store = CheckpointStore(spill_dir)
@@ -445,11 +453,13 @@ def run_spmd_supervised(rank_fn: Callable[[Comm, Optional[RankSnapshot]], Any],
 
         def fn(comm: Comm, _ckpt=ckpt, _manager=manager) -> Any:
             snap = _ckpt.ranks[comm.rank] if _ckpt is not None else None
-            with _governor_armed(rank_budget, program=f"rank{comm.rank}",
-                                 deadline_at=deadline_at):
-                if _manager is not None:
-                    with hooks.boundary_hook(_manager.hook(comm)):
-                        return rank_fn(comm, snap)
+            a = (ArmedBudget(rank_budget, program=f"rank{comm.rank}",
+                             deadline_at=deadline_at)
+                 if rank_budget is not None else None)
+            ctx = _context.ExecutionContext(
+                budget=a, dist=DistContext(comm, grid),
+                hook=_manager.hook(comm) if _manager is not None else None)
+            with a or contextlib.nullcontext(), _context.installed(ctx):
                 return rank_fn(comm, snap)
 
         results = _launch(fn, world)

@@ -19,7 +19,6 @@ import numpy as np
 from .. import instrumentation
 from ..config import Config
 from ..governor import budget as _governor_budget
-from ..resilience import hooks as _hooks
 from ..sanitizer import guards as _guards
 from ..ir.data import Array, Scalar, Stream, View
 from ..ir.memlet import Memlet
@@ -35,6 +34,7 @@ from ..ir.nodes import (
 )
 from ..ir.state import SDFGState
 from ..symbolic import Symbol
+from .context import boundary, masked
 from .wcr import apply_wcr
 
 __all__ = ["run_sdfg", "ExecutionError", "allocate_container", "infer_symbols"]
@@ -322,7 +322,7 @@ def _execute_nested(ctx: _Context, state: SDFGState, node: NestedSDFG,
             inner_symbols.setdefault(name, int(value))
     # nested state machines run mid-state of the outer SDFG: their
     # boundaries are not checkpointable program points
-    with _hooks.suppressed():
+    with masked():
         _run_machine(inner, inner_containers, inner_symbols)
     for storage, slices, data in writeback:
         storage[slices] = data.reshape(storage[slices].shape)
@@ -496,18 +496,9 @@ def _run_machine(sdfg, containers: Dict[str, Any], symbols: Dict[str, Any],
     state = start_state if start_state is not None else sdfg.start_state
     if state is None:
         return
-    hook = _hooks.active_hook()
-    state_index = ({s: i for i, s in enumerate(sdfg.topological_states())}
-                   if hook is not None else None)
-    # cooperative cancellation: one thread-local read per run; per-state
-    # cost when ungoverned is a single None check (DESIGN.md §12)
-    gov = _governor_budget.current()
     transitions = 0
     while state is not None:
-        if gov is not None:
-            gov.boundary(state.label)
-        if hook is not None:
-            hook(state_index.get(state, -1), ctx.containers, ctx.symbols)
+        boundary(sdfg, state, ctx.containers, ctx.symbols)
         execute_state(ctx, state)
         cond_env = dict(ctx.symbols)
         # expose scalar container values to interstate conditions
@@ -627,20 +618,9 @@ def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
     resolved = _governor_budget.Budget.resolve(budget)
     if resolved.is_null:
         _run_machine(sdfg, containers, symbols)
-        return collect_return(sdfg, containers)
+    else:
+        from ..governor import governed
 
-    from ..governor import admission as _admission
-
-    decision = None
-    if resolved.max_bytes:
-        decision = _admission.admit(sdfg, symbols, resolved,
-                                    program=sdfg.name)
-    with _governor_budget.armed(resolved, program=sdfg.name):
-        if decision is not None and decision.action == "degrade-serial":
-            # the serial tier's plan was admitted: pin the worker count so
-            # no per-chunk accumulators/privatized copies materialize
-            with Config.override(device__cpu_threads=1):
-                _run_machine(sdfg, containers, symbols)
-        else:
+        with governed(resolved, sdfg, symbols, program=sdfg.name):
             _run_machine(sdfg, containers, symbols)
     return collect_return(sdfg, containers)

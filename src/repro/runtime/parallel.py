@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import instrumentation
 from ..config import Config
-from ..governor import budget as _governor_budget
+from . import context as _context
 from .wcr import apply_wcr, identity_like
 
 __all__ = ["configured_threads", "get_pool", "shutdown_pool", "parallel_map",
@@ -70,13 +70,12 @@ _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_SIZE = 0
 _POOL_LOCK = threading.Lock()
 
-#: thread-local marker: set inside pool workers so nested parallel regions
-#: run serial instead of deadlocking on their own pool
-_TLS = threading.local()
-
 
 def in_worker() -> bool:
-    return getattr(_TLS, "in_worker", False)
+    """True inside a pool worker: nested parallel regions run serial
+    instead of deadlocking on their own pool."""
+    ctx = _context.current()
+    return ctx is not None and ctx.in_worker
 
 
 def get_pool(size: int) -> Optional[ThreadPoolExecutor]:
@@ -172,26 +171,22 @@ def _chunk_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
 
 
 def _run_chunk(task: Callable[[], None], label: str,
-               gov=None) -> None:
-    """Execute one chunk body inside a worker: mark the thread as a pool
-    worker (nested regions stay serial), adopt the dispatching thread's
-    armed governor budget (deadline checks cross the pool boundary), and
-    report a per-worker region timer into the active collector (RegionStat
-    aggregation is thread-safe)."""
-    prev = getattr(_TLS, "in_worker", False)
-    _TLS.in_worker = True
+               dispatcher: Optional[_context.ExecutionContext]) -> None:
+    """Execute one chunk body inside a worker under the dispatching
+    thread's execution context (see :func:`repro.runtime.context.worker_view`:
+    deadline checks cross the pool boundary, nested regions stay serial),
+    and report a per-worker region timer into the active collector
+    (RegionStat aggregation is thread-safe)."""
+    ctx = _context.worker_view(dispatcher)
     start = time.perf_counter()
     try:
-        if gov is None:
+        with _context.installed(ctx):
+            if ctx.budget is not None:
+                # chunk boundary is a cooperative check site: a pool queue
+                # full of pending chunks drains fast once the deadline passes
+                ctx.budget.check()
             task()
-        else:
-            # chunk boundary is a cooperative check site: a pool queue full
-            # of pending chunks drains fast once the deadline passes
-            gov.check()
-            with _governor_budget.adopt(gov):
-                task()
     finally:
-        _TLS.in_worker = prev
         _STATS.bump("chunks")
         coll = instrumentation._ACTIVE
         if coll is not None:
@@ -212,14 +207,15 @@ def _dispatch(tasks: List[Callable[[], None]], label: str) -> None:
     pool is unavailable.  Re-raises the first chunk exception after all
     chunks settle (no partially-joined pool state)."""
     pool = get_pool(configured_threads())
-    gov = _governor_budget.current()
+    dispatcher = _context.current()
     futures = []
     first_exc: Optional[BaseException] = None
     for task in tasks:
         submitted = False
         if pool is not None:
             try:
-                futures.append(pool.submit(_run_chunk, task, label, gov))
+                futures.append(pool.submit(_run_chunk, task, label,
+                                           dispatcher))
                 submitted = True
             except RuntimeError:
                 _report_pool_fallback(label, "submit-rejected")
@@ -227,7 +223,7 @@ def _dispatch(tasks: List[Callable[[], None]], label: str) -> None:
             if pool is None:
                 _report_pool_fallback(label, "pool-unavailable")
             try:
-                _run_chunk(task, label, gov)
+                _run_chunk(task, label, dispatcher)
             except BaseException as exc:
                 if first_exc is None:
                     first_exc = exc

@@ -24,7 +24,8 @@ from ..codegen import compile_sdfg
 from ..runtime.executor import run_sdfg
 
 __all__ = ["AUTOOPT_STEPS", "tolerance_for", "generate_inputs",
-           "compare_values", "OracleReport", "run_oracle", "bisect_passes"]
+           "compare_values", "fresh_inputs", "harvest_outputs",
+           "compare_outputs", "OracleReport", "run_oracle", "bisect_passes"]
 
 #: named auto_optimize steps, in pipeline order (mirrors autoopt.auto_optimize)
 AUTOOPT_STEPS = ["cleanup", "loop_to_map", "collapse", "fusion", "tile_wcr",
@@ -103,13 +104,20 @@ def generate_inputs(sdfg, symbols: Optional[Dict[str, int]] = None,
     return out
 
 
-def _fresh(inputs: Dict[str, object]) -> Dict[str, object]:
+def fresh_inputs(inputs: Dict[str, object]) -> Dict[str, object]:
+    """Per-tier copy of *inputs*: arrays are mutated in place by a run."""
     return {k: (np.array(v, copy=True) if isinstance(v, np.ndarray) else v)
             for k, v in inputs.items()}
 
 
-def _harvest(call_args: Dict[str, object], returned,
-             outputs: Sequence[str]) -> Dict[str, object]:
+def harvest_outputs(call_args: Dict[str, object], returned,
+                    outputs: Optional[Sequence[str]] = None
+                    ) -> Dict[str, object]:
+    """What one tier produced: the *outputs* arguments after the call
+    (default: every array argument) plus the return value."""
+    if outputs is None:
+        outputs = [k for k, v in call_args.items()
+                   if isinstance(v, np.ndarray)]
     got: Dict[str, object] = {name: call_args[name] for name in outputs
                               if name in call_args}
     if returned is not None:
@@ -117,14 +125,15 @@ def _harvest(call_args: Dict[str, object], returned,
     return got
 
 
-def _compare_outputs(expected: Dict[str, object],
-                     actual: Dict[str, object]) -> List[str]:
+def compare_outputs(expected: Dict[str, object],
+                    actual: Dict[str, object]) -> List[str]:
+    """Discrepancies between two :func:`harvest_outputs` results."""
     mismatches = []
-    for name, exp in expected.items():
+    for name in sorted(expected):
         if name not in actual:
             mismatches.append(f"{name}: missing from outputs")
             continue
-        msg = compare_values(exp, actual[name], name)
+        msg = compare_values(expected[name], actual[name], name)
         if msg:
             mismatches.append(msg)
     return mismatches
@@ -209,7 +218,7 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
             base = program.to_sdfg().clone()
         else:
             probe = inputs if inputs is not None else {}
-            base = program.to_sdfg(**_fresh(probe)).clone()
+            base = program.to_sdfg(**fresh_inputs(probe)).clone()
     except Exception as exc:  # frontend failure: nothing to compare
         report.verdict = "error"
         report.stages["frontend"] = f"error: {exc}"
@@ -227,9 +236,9 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
     ref_fn = reference if reference is not None else getattr(program, "func", None)
     if ref_fn is not None:
         try:
-            args = _fresh(inputs)
+            args = fresh_inputs(inputs)
             ret = ref_fn(**args)
-            expected = _harvest(args, ret, out_names)
+            expected = harvest_outputs(args, ret, out_names)
             report.stages["python"] = "ok"
         except Exception as exc:
             # e.g. programs using repro.map are not executable as plain
@@ -240,9 +249,9 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
     def run_stage(stage: str, runner: Callable[[Dict[str, object]], object]) -> Optional[Dict[str, object]]:
         nonlocal expected
         try:
-            args = _fresh(inputs)
+            args = fresh_inputs(inputs)
             ret = runner(args)
-            got = _harvest(args, ret, out_names)
+            got = harvest_outputs(args, ret, out_names)
         except Exception as exc:
             report.stages[stage] = f"error: {exc}"
             report.verdict = "error"
@@ -251,7 +260,7 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
             expected = got
             report.stages[stage] = "ok (reference)"
             return got
-        mismatches = _compare_outputs(expected, got)
+        mismatches = compare_outputs(expected, got)
         if mismatches:
             report.stages[stage] = "mismatch: " + "; ".join(mismatches[:3])
             report.mismatches.extend(f"{stage}: {m}" for m in mismatches)
@@ -292,12 +301,12 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
 
         def prefix_ok(k: int) -> bool:
             try:
-                args = _fresh(inputs)
+                args = fresh_inputs(inputs)
                 ret = compile_sdfg(optimize(base.clone(), k), device=device)(**args)
-                got = _harvest(args, ret, out_names)
+                got = harvest_outputs(args, ret, out_names)
             except Exception:
                 return False
-            return not _compare_outputs(expected, got)
+            return not compare_outputs(expected, got)
 
         if not prefix_ok(len(step_names)):
             report.culprit = step_names[_prefix_search(prefix_ok, len(step_names)) - 1]

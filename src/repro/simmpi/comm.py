@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import instrumentation as _instrumentation
 from ..config import Config
-from ..governor.budget import tick as _governor_tick
+from ..runtime.context import tick as _governor_tick
 from .netmodel import FaultPlan, NetModel
 
 __all__ = ["Comm", "Request", "VectorType", "run_spmd", "SimMPIError",

@@ -310,3 +310,20 @@ class TestPerfGate:
             baseline = json.load(fh)
         assert baseline["benchmarks"]
         assert check_against_baseline(baseline, baseline) == []
+
+    def test_committed_baselines_carry_their_harness_schema(self):
+        """Artifact drift is a bug class: every committed baseline must be
+        on the schema of the harness whose ``--check`` reads it."""
+        import glob
+
+        from repro.bench import dist, profile
+
+        harness = {"BENCH_baseline.json": profile.SCHEMA,
+                   "BENCH_dist_baseline.json": dist.SCHEMA}
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
+        paths = sorted(glob.glob(os.path.join(root, "BENCH_*baseline*.json")))
+        assert {os.path.basename(p) for p in paths} == set(harness)
+        for path in paths:
+            with open(path) as fh:
+                assert json.load(fh)["schema"] == \
+                    harness[os.path.basename(path)], path

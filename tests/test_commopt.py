@@ -144,16 +144,14 @@ class TestHaloExtents:
 
     def test_halo_exchange_end_to_end_rejects_thin_blocks(self):
         def work(comm):
-            from repro.distributed import context
+            from repro.distributed.context import DistContext
+            from repro.runtime.context import ExecutionContext, installed
 
-            context.set_current(context.DistContext(comm))
-            try:
+            with installed(ExecutionContext(dist=DistContext(comm))):
                 padded = np.zeros((2, 4))   # zero interior rows on a 2x2 grid
                 with pytest.raises(HaloExtentError):
                     repro.comm.HaloExchange(padded)
                 return True
-            finally:
-                context.set_current(None)
 
         results, _, _ = run_spmd(work, 4)
         assert all(results)

@@ -445,15 +445,17 @@ class TestEndToEndRecovery:
         through raw rank functions with no SDFG at all (no checkpoints,
         scratch restart) — and the compiled path above — so here we pin
         the hook contract itself."""
-        from repro.resilience import hooks
+        from repro.runtime import context
 
         fired = []
-        with hooks.boundary_hook(lambda i, c, s: fired.append(i)):
-            hooks.state_boundary(3, {}, {})
-            with hooks.suppressed():
-                hooks.state_boundary(9, {}, {})     # nested SDFG: masked
-            hooks.state_boundary(4, {}, {})
-        hooks.state_boundary(5, {}, {})             # no hook installed
+        hooked = context.ExecutionContext(
+            hook=lambda i, c, s: fired.append(i))
+        with context.installed(hooked):
+            context.boundary(None, 3, {}, {})
+            with context.masked():
+                context.boundary(None, 9, {}, {})   # nested SDFG: masked
+            context.boundary(None, 4, {}, {})
+        context.boundary(None, 5, {}, {})           # no context installed
         assert fired == [3, 4]
 
 

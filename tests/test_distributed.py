@@ -102,14 +102,12 @@ class TestExplicitComm:
         A = np.arange(48, dtype=np.float64).reshape(8, 6)
 
         def work(comm):
-            from repro.distributed import context
+            from repro.distributed.context import DistContext
+            from repro.runtime.context import ExecutionContext, installed
 
-            context.set_current(context.DistContext(comm))
-            try:
+            with installed(ExecutionContext(dist=DistContext(comm))):
                 block = repro.comm.BlockScatter(A)
                 return repro.comm.BlockGather(block, A.shape)
-            finally:
-                context.set_current(None)
 
         results, _, _ = run_spmd(work, 4)
         for result in results:
@@ -117,15 +115,13 @@ class TestExplicitComm:
 
     def test_halo_exchange_neighbors(self):
         def work(comm):
-            from repro.distributed import context
+            from repro.distributed.context import DistContext
+            from repro.runtime.context import ExecutionContext, installed
 
-            context.set_current(context.DistContext(comm))
-            try:
+            with installed(ExecutionContext(dist=DistContext(comm))):
                 padded = np.full((4, 4), float(comm.rank))
                 repro.comm.HaloExchange(padded)
                 return padded
-            finally:
-                context.set_current(None)
 
         results, _, _ = run_spmd(work, 4)   # 2x2 grid
         # rank 0's east halo comes from rank 1, south halo from rank 2

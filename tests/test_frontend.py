@@ -428,6 +428,55 @@ class TestJITAndAOT:
         sdfg = prog.to_sdfg()  # no example arguments needed
         assert "A" in sdfg.arglist()
 
+    def test_call_form_forwards_options(self):
+        def f(A: repro.float64[N]):
+            A += 1.0
+
+        called = repro.program(f, auto_optimize=True, device="GPU",
+                               fallback=True, sanitize="bounds")
+        decorated = repro.program(auto_optimize=True, device="GPU",
+                                  fallback=True, sanitize="bounds")(f)
+        for prog in (called, decorated):
+            assert prog.auto_optimize is True and prog.device == "GPU"
+            assert prog.fallback is True and prog.sanitize == "bounds"
+        assert repro.program(f).auto_optimize is False
+        with pytest.raises(TypeError):
+            repro.program(f, backend="codegen")   # dead parameter, removed
+
+    def test_annotation_descriptors_are_built_once(self):
+        @repro.program
+        def annotated(A: repro.float64[N]):
+            A += 1.0
+
+        @repro.program
+        def partial(A: repro.float64[N], B):
+            B[:] = A
+
+        assert annotated._annotation_descs() is annotated._annotation_descs()
+        assert set(annotated._annotation_descs()) == {"A"}
+        assert partial._annotation_descs() is None
+
+    def test_one_bind_per_call(self):
+        @repro.program
+        def jit(A, B):
+            B[:] = A + 1.0
+
+        binds = []
+        signature = jit._signature
+
+        class Counting:
+            parameters = signature.parameters
+
+            def bind_partial(self, *args, **kwargs):
+                binds.append(1)
+                return signature.bind_partial(*args, **kwargs)
+
+        A, B = np.zeros(4), np.zeros(4)
+        jit(A, B)
+        jit._signature = Counting()
+        jit(A, B)
+        assert binds == [1] and np.allclose(B, 1)
+
 
 class TestNestedCalls:
     def test_nested_program_call(self):

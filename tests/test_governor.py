@@ -16,13 +16,12 @@ from repro import (Budget, CircuitOpenError, ExecutionTimeout,
 from repro.config import Config
 from repro.governor import admission
 from repro.governor.breaker import registry, reset_breakers
-from repro.governor.budget import (ArmedBudget, ExecutionCancelled, adopt,
-                                   armed, current, tick)
+from repro.governor.budget import ArmedBudget, ExecutionCancelled, armed
 from repro.instrumentation import profile
 from repro.ir.memlet import Memlet
 from repro.ir.nodes import MapEntry, ScheduleType
 from repro.ir.sdfg import SDFG
-from repro.runtime import parallel
+from repro.runtime import context, parallel
 from repro.runtime.executor import run_sdfg
 from repro.symbolic import Range
 
@@ -70,6 +69,26 @@ def wcr_multicore_sdfg(n=400):
     return sdfg
 
 
+class _Machine:
+    """Stand-in SDFG for boundary calls: states s0, s1, ... by index."""
+
+    class _State:
+        def __init__(self, label):
+            self.label = label
+
+    def __init__(self, n=4):
+        self._states = [self._State(f"s{i}") for i in range(n)]
+
+    def topological_states(self):
+        return self._states
+
+
+def armed_budget():
+    """The budget armed on the calling thread, or None."""
+    ctx = context.current()
+    return ctx.budget if ctx is not None else None
+
+
 # ---------------------------------------------------------------------------
 # Budget and ArmedBudget semantics
 # ---------------------------------------------------------------------------
@@ -95,65 +114,81 @@ class TestBudget:
 
     def test_armed_null_budget_yields_none(self):
         with armed(None) as a:
-            assert a is None and current() is None
+            assert a is None and context.current() is None
         with armed(Budget()) as a:
-            assert a is None and current() is None
+            assert a is None and context.current() is None
 
     def test_armed_sets_and_restores_thread_local(self):
-        assert current() is None
+        assert context.current() is None
         with armed(Budget(deadline_s=60.0), program="p") as a:
-            assert current() is a and a.program == "p"
+            assert armed_budget() is a and a.program == "p"
             with armed(Budget(deadline_s=30.0), program="inner") as b:
-                assert current() is b
-            assert current() is a  # nesting restores
-        assert current() is None
+                assert armed_budget() is b
+            assert armed_budget() is a  # nesting restores
+        assert context.current() is None
+
+    def test_armed_keeps_the_rest_of_the_context(self):
+        hook = lambda i, c, s: None  # noqa: E731
+        outer = context.ExecutionContext(hook=hook, in_worker=True)
+        with context.installed(outer):
+            with armed(Budget(deadline_s=60.0)) as a:
+                ctx = context.current()
+                assert ctx.budget is a
+                assert ctx.hook is hook and ctx.in_worker
+            assert context.current() is outer and outer.budget is None
 
     def test_boundary_promotes_then_checks(self):
+        m = _Machine()
         a = ArmedBudget(Budget(deadline_s=60.0), program="p")
-        a.boundary("s0")
+        a.boundary(m, 0)
         assert a.last_state is None       # s0 only *entered*
-        a.boundary("s1")
+        a.boundary(m, m.topological_states()[1])   # index or state object
         assert a.last_state == "s0"       # now s0 has completed
+        a.boundary(m, 2)
+        assert a.last_state == "s1"
 
     def test_expired_deadline_raises_at_tick(self):
         with armed(Budget(deadline_s=0.01), program="p") as a:
-            a.boundary("s0")
+            a.boundary(_Machine(), 0)
             time.sleep(0.03)
             with pytest.raises(ExecutionTimeout) as ei:
-                tick()
+                context.tick()
         err = ei.value
         assert err.program == "p" and err.deadline_s == 0.01
         assert err.elapsed_s >= 0.01
         json.dumps(err.to_dict())         # structured payload serializes
 
     def test_cancel_raises_at_next_boundary(self):
+        m = _Machine()
         with armed(Budget(deadline_s=60.0), program="p") as a:
-            a.boundary("s0")
-            a.boundary("s1")
+            a.boundary(m, 0)
+            a.boundary(m, 1)
             a.cancel("operator request")
             with pytest.raises(ExecutionCancelled) as ei:
-                a.boundary("s2")
+                a.boundary(m, 2)
         assert ei.value.reason == "operator request"
         assert ei.value.last_state == "s1"
 
     def test_adopt_carries_budget_across_threads(self):
         hit = []
 
-        with armed(Budget(deadline_s=0.01), program="p") as a:
+        with armed(Budget(deadline_s=0.01), program="p"):
             time.sleep(0.03)
+            dispatcher = context.current()
 
             def worker():
-                assert current() is None  # fresh thread: nothing armed
-                with adopt(a):
+                assert context.current() is None  # fresh thread: no context
+                with context.installed(context.worker_view(dispatcher)):
                     try:
-                        tick()
+                        context.tick()
                     except ExecutionTimeout:
                         hit.append(True)
-                assert current() is None
+                assert context.current() is None
 
             t = threading.Thread(target=worker)
             t.start()
-            t.join()
+            t.join(timeout=10)
+            assert not t.is_alive()
         assert hit == [True]
 
     def test_watchdog_flips_expired_without_a_tick(self):
@@ -355,15 +390,15 @@ class TestCircuitBreaker:
                              governor__cooldown_s=60.0):
             self._trip(A)
             compiles = []
-            orig = incr.compile
-            incr.compile = lambda *a, **k: (compiles.append(1),
-                                            orig(*a, **k))[1]
+            orig = incr._compile
+            incr._compile = lambda *a, **k: (compiles.append(1),
+                                             orig(*a, **k))[1]
             try:
                 with pytest.raises(CircuitOpenError):
                     incr(A, __budget=Budget(deadline_s=60.0,
                                             max_bytes=1 << 30))
             finally:
-                del incr.compile
+                del incr._compile
             assert compiles == []  # no re-parse, no recompile
 
     def test_fast_fails_do_not_count_as_failures(self):
@@ -414,36 +449,59 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# zero overhead when off: the governed module is a separate cache variant
+# one module for governed and plain runs: the budget is ticked by the state
+# boundary every module already calls
 # ---------------------------------------------------------------------------
 
 class TestGovernedCodegen:
     def test_plain_module_has_no_tick(self):
         compiled = incr.compile(np.zeros(64))
-        assert not compiled.governed
         assert "__tick" not in compiled.source
+        assert compiled.source.count("__boundary(") == 1
 
     def test_governed_module_ticks_at_state_boundaries(self):
-        compiled = incr.compile(np.zeros(64), govern=True)
-        assert compiled.governed
-        assert "__tick(__state)" in compiled.source
+        A = np.zeros(8)
+        compiled = slow_loop.compile(A, 3)
+        with armed(Budget(deadline_s=60.0), program="p") as a:
+            compiled(A=A, T=3)
+            ticked = a.last_state
+        assert ticked is not None
+        assert ticked in {s.label for s in compiled.sdfg.states()}
 
-    def test_cache_keys_differ_by_govern_flag(self):
-        from repro.cache.fingerprint import cache_key
+    def test_governed_and_plain_runs_share_one_cache_entry(self):
+        from repro.cache import cache_key, stats
 
         sdfg = incr.to_sdfg()
-        assert cache_key(sdfg, govern=True) != cache_key(sdfg, govern=False)
+        with pytest.raises(TypeError):
+            cache_key(sdfg, govern=True)
+        A = np.zeros(64)
+        incr(A)
+        modules, misses = len(incr._compiled_cache), stats().to_dict()["misses"]
+        incr(A, __budget=Budget(deadline_s=60.0))
+        assert len(incr._compiled_cache) == modules
+        assert stats().to_dict()["misses"] == misses
 
     def test_governed_variant_is_correct(self):
         A = np.zeros(64)
-        compiled = incr.compile(A, govern=True)
-        compiled(A=A)  # no budget armed: ticks no-op
+        compiled = incr.compile(A)
+        compiled(A=A)  # no budget armed: the boundary is a no-op
         np.testing.assert_array_equal(A, np.ones(64))
+        with armed(Budget(deadline_s=60.0)):
+            compiled(A=A)
+        np.testing.assert_array_equal(A, np.full(64, 2.0))
 
+    def test_same_module_times_out_under_an_expired_deadline(self):
+        # the *same* CompiledSDFG object, ungoverned then governed
+        A = np.zeros(16)
+        compiled = slow_loop.compile(A, 3)
+        compiled(A=A, T=3)
+        np.testing.assert_array_equal(A, np.full(16, 1.5))
+        with armed(Budget(deadline_s=0.05), program="late"):
+            with pytest.raises(ExecutionTimeout) as ei:
+                compiled(A=A, T=2_000_000)
+        assert ei.value.program == "late"
+        assert ei.value.last_state in {s.label for s in compiled.sdfg.states()}
 
-# ---------------------------------------------------------------------------
-# the sweep CLI surface
-# ---------------------------------------------------------------------------
 
 class TestGovernorSweep:
     def test_single_case_sweep_is_fully_structured(self, tmp_path):

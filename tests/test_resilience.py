@@ -342,8 +342,8 @@ class TestGracefulDegradation:
         def boom(*args, **kwargs):
             raise RuntimeError("stage unavailable")
 
-        quadruple.compile = boom
-        quadruple.to_sdfg = boom
+        quadruple._compile = boom
+        quadruple._parse = boom
         A = np.arange(5, dtype=np.float64)
         B = np.zeros(5)
         with Config.override(resilience__mode="degrade"):
