@@ -15,23 +15,24 @@ Device-specific passes follow: OpenMP-collapse for CPU, the
 ``{GPU,FPGA}TransformSDFG`` passes for accelerators, and finally library
 nodes are specialized using the per-platform priority lists (§3.2).
 
-Under ``resilience.transactional`` each step runs as a transaction: a step
-that raises (or leaves an invalid graph behind) is rolled back and recorded
-in the :class:`repro.resilience.FailureReport`, and optimization continues
-with the remaining steps — an optimization failure degrades the result, it
-does not corrupt it.
+Each step runs as one run of the pipeline's
+:class:`repro.transformations.pipeline.PassTransaction`: a step that raises,
+leaves an invalid graph behind, or introduces a provable race is rolled back
+and recorded in the :class:`repro.resilience.FailureReport`, and
+optimization continues with the remaining steps — an optimization failure
+degrades the result, it does not corrupt it.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
-from typing import Callable, Optional
-
-from . import instrumentation
 from .config import Config
 
-__all__ = ["auto_optimize"]
+__all__ = ["auto_optimize", "AUTOOPT_STEPS"]
+
+#: the named steps, in pipeline order — the one declaration: ``passes=``
+#: keys, the step bodies below and the oracle's bisection all refer to it
+AUTOOPT_STEPS = ("cleanup", "loop_to_map", "collapse", "fusion", "tile_wcr",
+                 "transients", "device", "library", "commopt")
 
 
 def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
@@ -42,144 +43,82 @@ def auto_optimize(sdfg, device: str = "CPU", use_fast_library: bool = True,
     benchmarks), e.g. ``passes={"fusion": False}``.  ``report`` optionally
     collects rolled-back steps in a :class:`repro.resilience.FailureReport`.
     """
-    from .resilience import FailureReport, ResilienceWarning, SDFGSnapshot
     from .transformations.dataflow.cleanup import DegenerateMapRemoval
     from .transformations.dataflow.loop_to_map import LoopToMap
     from .transformations.dataflow.map_collapse import MapCollapse
     from .transformations.dataflow.map_fusion import GreedySubgraphFusion
     from .transformations.dataflow.map_tiling import TileWCRMaps
     from .transformations.dataflow.transient_alloc import TransientAllocationMitigation
-    from .transformations.pipeline import simplify_pass
+    from .transformations.device import (CPUParallelize, FPGATransformSDFG,
+                                         GPUTransformSDFG,
+                                         StreamingComposition)
+    from .transformations.pipeline import PassTransaction
 
-    enabled = {
-        "cleanup": True,
-        "loop_to_map": True,
-        "collapse": True,
-        "fusion": True,
-        "tile_wcr": True,
-        "transients": True,
-        "device": True,
-        "library": True,
-        "commopt": Config.get("commopt.enabled"),
-    }
+    enabled = dict.fromkeys(AUTOOPT_STEPS, True)
+    # distributed SDFGs only, opt-in — run_distributed applies the
+    # communication optimizer (§13) independently of -O3
+    enabled["commopt"] = Config.get("commopt.enabled")
     enabled.update(passes or {})
 
-    transactional = Config.get("resilience.transactional")
-    if report is None:
-        report = FailureReport()
+    device_passes = {"CPU": (CPUParallelize,),
+                     "GPU": (GPUTransformSDFG,),
+                     "FPGA": (FPGATransformSDFG, StreamingComposition)}
+    if enabled["device"] and device not in device_passes:
+        # a bad device name is a caller error, never a step failure to absorb
+        raise ValueError(f"unknown device {device!r}")
 
-    def step(name: str, thunk: Callable[[], None]) -> None:
-        if not enabled.get(name, True):
-            return
-        prof = instrumentation._ACTIVE
-        step_start = time.perf_counter() if prof is not None else 0.0
-        try:
-            if not transactional:
-                thunk()
-                return
-            from .resilience import _check_static_issues, _static_issues
+    txn = PassTransaction(sdfg, report=report)
 
-            check_static = Config.get("sanitize.check_transforms")
-            baseline = _static_issues(sdfg) if check_static else frozenset()
-            snapshot = SDFGSnapshot.capture(sdfg)
-            try:
-                thunk()
-                if not Config.get("validate.after_transform"):
-                    sdfg.validate()
-                if check_static:
-                    _check_static_issues(sdfg, baseline)
-            except Exception as exc:
-                snapshot.restore(sdfg)
-                report.record("optimization", name, exc, "rolled-back",
-                              device=device)
-                warnings.warn(
-                    f"auto_optimize step {name!r} failed "
-                    f"({type(exc).__name__}: {exc}); rolled back and continuing",
-                    ResilienceWarning, stacklevel=3)
-        finally:
-            if prof is not None:
-                prof.add("pass", f"autoopt.{name}",
-                         time.perf_counter() - step_start)
+    # step bodies return their application count (0: nothing to check) and
+    # make their own changes before a nested ``txn.simplify()``
 
-    def loop_to_map_to_fixed_point() -> None:
-        cap = Config.get("resilience.max_pass_applications")
-        count = 0
-        while LoopToMap.apply_once(sdfg):
-            simplify_pass(sdfg, report=report)
-            count += 1
-            if count >= cap:
-                warnings.warn(
-                    f"auto_optimize: LoopToMap hit the application cap "
-                    f"({cap}) on {sdfg.name!r}; stopping",
-                    ResilienceWarning, stacklevel=2)
-                break
+    def loop_to_map() -> int:
+        converted = 0
+        while (not txn.exhausted(converted, ("LoopToMap",))
+               and LoopToMap.apply_once(sdfg)):
+            converted += 1
+            txn.simplify()
+        return converted
 
-    # (1) map scope cleanup
-    step("cleanup", lambda: DegenerateMapRemoval.apply_repeated(sdfg))
-    step("loop_to_map", loop_to_map_to_fixed_point)
-    step("collapse", lambda: MapCollapse.apply_repeated(sdfg))
+    def fusion() -> int:
+        return GreedySubgraphFusion.apply_repeated(sdfg) + txn.simplify()
 
-    # (2) greedy subgraph fusion
-    def fusion() -> None:
-        GreedySubgraphFusion.apply_repeated(sdfg)
-        simplify_pass(sdfg, report=report)
+    def device_specific() -> int:
+        return sum(t.apply_repeated(sdfg) for t in device_passes[device])
 
-    step("fusion", fusion)
-
-    # (3) tile WCR maps
-    step("tile_wcr", lambda: TileWCRMaps.apply_repeated(
-        sdfg, tile_size=Config.get("optimizer.tile_size")))
-
-    # (4) transient allocation mitigation
-    step("transients", lambda: TransientAllocationMitigation.apply_repeated(sdfg))
-
-    # device-specific passes
-    def device_passes() -> None:
-        if device == "CPU":
-            from .transformations.device.cpu_transform import CPUParallelize
-
-            CPUParallelize.apply_repeated(sdfg)
-        elif device == "GPU":
-            from .transformations.device.gpu_transform import GPUTransformSDFG
-
-            GPUTransformSDFG.apply_repeated(sdfg)
-        elif device == "FPGA":
-            from .transformations.device.fpga_transform import (
-                FPGATransformSDFG,
-                StreamingComposition,
-            )
-
-            FPGATransformSDFG.apply_repeated(sdfg)
-            StreamingComposition.apply_repeated(sdfg)
-        else:
-            raise ValueError(f"unknown device {device!r}")
-
-    if enabled["device"]:
-        if device not in ("CPU", "GPU", "FPGA"):
-            # a bad device name is a caller error, never a step failure to absorb
-            raise ValueError(f"unknown device {device!r}")
-        step("device", device_passes)
-
-    # library specialization (§3.2)
-    def library() -> None:
+    def library() -> int:
+        # library specialization (§3.2)
         if use_fast_library:
-            sdfg.expand_library_nodes(device=device)
+            applied = sdfg.expand_library_nodes(device=device)
         else:
-            sdfg.expand_library_nodes(implementation="native")
+            applied = sdfg.expand_library_nodes(implementation="native")
         # expansions may introduce WCR maps (native reductions): tile them too
         if enabled["tile_wcr"]:
-            TileWCRMaps.apply_repeated(
-                sdfg, tile_size=Config.get("optimizer.tile_size"))
+            applied += TileWCRMaps.apply_repeated(sdfg)
+        return applied
 
-    step("library", library)
-
-    # communication optimizer (§13; distributed SDFGs only, opt-in via
-    # commopt.enabled — run_distributed applies it independently of -O3)
-    def commopt_pass() -> None:
+    def commopt() -> int:
         from .distributed.commopt import optimize_comm
 
-        optimize_comm(sdfg)
+        return sum(optimize_comm(sdfg).values())
 
-    step("commopt", commopt_pass)
-
+    # a step that is one pass is skipped, snapshot and all, unless it matches
+    steps = {
+        "cleanup": DegenerateMapRemoval,                # (1) map scope cleanup
+        "loop_to_map": loop_to_map,
+        "collapse": MapCollapse,
+        "fusion": fusion,                               # (2) subgraph fusion
+        "tile_wcr": TileWCRMaps,                        # (3) tile WCR maps
+        "transients": TransientAllocationMitigation,    # (4) allocation
+        "device": device_specific,
+        "library": library,
+        "commopt": commopt,
+    }
+    for name in AUTOOPT_STEPS:
+        if not enabled[name]:
+            continue
+        if isinstance(steps[name], type):
+            txn.apply(steps[name], step=name)
+        else:
+            txn.run(name, steps[name])
     return sdfg

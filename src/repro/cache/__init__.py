@@ -71,13 +71,15 @@ def set_store(store: Optional[CacheStore]) -> None:
 def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
                    sanitize: bool = False,
                    optimize: Optional[str] = None,
-                   store: Optional[CacheStore] = None):
+                   store: Optional[CacheStore] = None, report=None):
     """Compile *sdfg* through the content-addressed cache.
 
     *optimize* names a device whose ``auto_optimize`` pipeline runs on a
     clone of the graph before code generation (``None`` compiles as-is).
     Because the key covers the *input* graph plus the optimization level, a
     hit skips auto-optimization, validation, and code generation in one go.
+    *report* (a :class:`repro.resilience.FailureReport`) receives the steps
+    that pipeline rolls back on a miss.
 
     Returns a :class:`repro.codegen.CompiledSDFG`; its ``from_cache``
     attribute tells the two paths apart.
@@ -87,7 +89,7 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     coll = instrumentation.current()
     if not Config.get("cache.enabled"):
         return _compile_full(sdfg, device, instrument, sanitize, optimize,
-                             coll)
+                             report)
     store = store or get_store()
     start = time.perf_counter()
     key = cache_key(sdfg, device=device, instrument=instrument,
@@ -119,7 +121,7 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     if coll is not None:
         coll.add("cache", "miss", time.perf_counter() - start)
     compiled = _compile_full(sdfg, device, instrument, sanitize, optimize,
-                             coll)
+                             report)
     entry = _make_entry(key, compiled, optimize)
     if entry is not None:
         store.write_disk(entry)
@@ -127,17 +129,15 @@ def cached_compile(sdfg, device: str = "CPU", instrument: bool = False,
     return compiled
 
 
-def _compile_full(sdfg, device, instrument, sanitize, optimize, coll):
+def _compile_full(sdfg, device, instrument, sanitize, optimize, report):
+    from .. import instrumentation
     from ..codegen.compiled import build
 
     work = sdfg
     if optimize:
         work = sdfg.clone()
-        if coll is not None:
-            with coll.region("phase", "autoopt"):
-                work.auto_optimize(device=optimize)
-        else:
-            work.auto_optimize(device=optimize)
+        with instrumentation.record_region("phase", "autoopt"):
+            work.auto_optimize(device=optimize, report=report)
     return build(work, device=device, instrument=instrument,
                  sanitize=sanitize)
 

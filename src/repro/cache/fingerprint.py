@@ -33,10 +33,12 @@ _code_version: Optional[str] = None
 
 
 def fingerprint(sdfg) -> str:
-    """Content hash of an SDFG (hex sha256 over its canonical JSON form)."""
-    blob = json.dumps(sdfg.to_json(), sort_keys=True,
-                      separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Content hash of an SDFG (hex sha256 over its canonical JSON form) —
+    the only one: the cache key, the circuit-breaker key and the
+    oscillation detector all use it."""
+    from ..ir.serialize import canonical_json
+
+    return hashlib.sha256(canonical_json(sdfg).encode("utf-8")).hexdigest()
 
 
 def code_version() -> str:
@@ -81,8 +83,7 @@ def config_digest() -> str:
 
     relevant = {}
     for key in sorted(Config.keys()):
-        if key.startswith(("optimizer.", "device.", "parallel.")) or key in (
-                "sanitize.check_transforms", "validate.after_transform"):
+        if key.startswith(("optimizer.", "device.", "parallel.")):
             relevant[key] = Config.get(key)
     relevant["resolved.cpu_threads"] = configured_threads()
     blob = json.dumps(relevant, sort_keys=True, default=str)

@@ -13,7 +13,6 @@ from typing import Any, Dict, Iterator
 _DEFAULTS: Dict[str, Any] = {
     # Frontend / optimizer behaviour
     "optimizer.simplify": True,              # run dataflow coarsening after parse
-    "optimizer.autooptimize": False,         # run -O3 heuristics by default
     "optimizer.tile_size": 64,               # WCR map tile size (paper §3.1 (3))
     "optimizer.stack_array_limit": 64,       # elements; below -> "stack" storage
     # Instrumentation (see repro.instrumentation)
@@ -31,13 +30,10 @@ _DEFAULTS: Dict[str, Any] = {
     "cache.memory_entries": 128,             # in-memory LRU entry cap
     # Sanitizer (see repro.sanitizer and DESIGN.md §8)
     "sanitize.mode": "off",                  # "off" | "bounds" | "nan" | "bounds,nan"
-    "sanitize.check_transforms": True,       # static race/bounds gate on passes
     # Validation
-    "validate.after_transform": True,
     "validate.before_execute": True,         # run ir.validation before run_sdfg
     # Resilience (see repro.resilience and DESIGN.md)
     "resilience.mode": "strict",             # "strict" raises, "degrade" falls back
-    "resilience.transactional": True,        # snapshot/rollback around passes
     "resilience.quarantine_threshold": 3,    # failures before a pass is skipped
     "resilience.max_pass_applications": 10000,  # fixed-point application cap
     # Fault injection / communication resilience (repro.simmpi)

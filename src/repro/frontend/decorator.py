@@ -198,7 +198,7 @@ class DaceProgram:
             sdfg = parse_program(self.func, cloned, env, name=self.name,
                                  defaults=self._defaults)
             if Config.get("optimizer.simplify"):
-                sdfg.simplify()
+                sdfg.simplify(report=self.failure_report)
         self._sdfg_cache[key] = sdfg
         return sdfg
 
@@ -241,15 +241,12 @@ class DaceProgram:
         from .. import instrumentation
         from ..cache import cached_compile
 
-        coll = instrumentation.current()
-        if coll is not None:
-            with coll.region("phase", "parse"):
-                sdfg = self._parse(descs, key)
-        else:
+        with instrumentation.record_region("phase", "parse"):
             sdfg = self._parse(descs, key)
         compiled = cached_compile(
             sdfg, device=device, instrument=instrument, sanitize=sanitize,
-            optimize=device if self.auto_optimize else None)
+            optimize=device if self.auto_optimize else None,
+            report=self.failure_report)
         self._compiled_cache[memo] = compiled
         return compiled
 

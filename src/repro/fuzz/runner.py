@@ -199,7 +199,7 @@ def run_source_case(source: str, arrays: Dict[str, dict],
             except Exception as exc:
                 fail(stage, f"error: {type(exc).__name__}: {exc}")
                 return False
-            mismatches = compare_outputs(expected, got)
+            mismatches = compare_outputs(expected, got, inputs)
             if mismatches:
                 fail(stage, "mismatch: " + "; ".join(mismatches[:3]))
                 return False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from typing import Dict
 
 from .data import Data
@@ -20,7 +21,15 @@ from .sdfg import SDFG
 from .state import SDFGState
 from ..symbolic import Range
 
-__all__ = ["sdfg_from_json", "state_from_json"]
+__all__ = ["canonical_json", "sdfg_from_json", "state_from_json"]
+
+
+def canonical_json(sdfg: SDFG) -> str:
+    """The one SDFG → text function (``to_json``, sorted keys, no
+    whitespace): structurally identical graphs give identical text whatever
+    order their containers were added in.  The content hash and the rollback
+    snapshot both use it; ``sdfg_from_json(json.loads(text))`` inverts it."""
+    return json.dumps(sdfg.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 def _parse_symbol_mapping(obj: Dict[str, str]) -> Dict[str, object]:

@@ -24,11 +24,7 @@ from .core import (  # noqa: F401
     Quarantine,
     ResilienceWarning,
     SDFGSnapshot,
-    _check_static_issues,
-    _static_issues,
-    sdfg_fingerprint,
     transactional_apply,
-    transformation_name,
 )
 from .distributed import (  # noqa: F401
     CheckpointManager,
@@ -50,7 +46,6 @@ __all__ = [
     "OscillationDetector",
     "ResilienceWarning",
     "transactional_apply",
-    "sdfg_fingerprint",
     "RankSnapshot",
     "WorldCheckpoint",
     "CheckpointStore",

@@ -5,11 +5,11 @@ chaining dozens of automatic graph transformations, and by DaCe's practice of
 validating between passes because transformation bugs are the dominant
 failure mode of such compilers):
 
-1. **Transactional transformation application** — snapshot → apply →
-   validate → rollback-on-failure, so one buggy pass cannot corrupt an SDFG.
-   Snapshots go through :mod:`repro.ir.serialize` (JSON round-trip) when the
-   graph is serializable, and fall back to ``copy.deepcopy`` otherwise
-   (e.g. unexpanded library nodes).
+1. **Transactional transformation application** — the primitives of the
+   pass transaction in :mod:`repro.transformations.pipeline` (snapshot →
+   apply → validate → static gate → rollback-on-failure), so one buggy pass
+   cannot corrupt an SDFG.  Snapshots are the graph's canonical JSON text
+   when it serializes, a ``copy.deepcopy`` otherwise.
 2. **Quarantine + oscillation control** — passes that repeatedly fail on a
    given SDFG are quarantined instead of retried forever, and fixed-point
    drivers can detect A/B oscillations through graph fingerprints.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 import json
-import warnings
 from typing import Any, Dict, List, Optional
 
 from ..config import Config
@@ -41,7 +40,6 @@ __all__ = [
     "OscillationDetector",
     "ResilienceWarning",
     "transactional_apply",
-    "sdfg_fingerprint",
 ]
 
 
@@ -159,11 +157,11 @@ class FailureReport:
 class SDFGSnapshot:
     """A restorable point-in-time copy of an SDFG.
 
-    Capture prefers the JSON serializer (cheap, and exercises the same
-    round-trip the on-disk format uses); graphs that cannot serialize —
-    unexpanded library nodes — fall back to a deep copy.  ``restore``
-    reinstates the captured contents *in place* on the original object, so
-    callers holding a reference to the SDFG see the rollback.
+    Capture prefers the canonical JSON text (cheap, and exercises the same
+    round-trip the on-disk format uses); graphs that cannot serialize fall
+    back to a deep copy.  ``restore`` reinstates the captured contents *in
+    place* on the original object, so callers holding a reference to the
+    SDFG see the rollback.
     """
 
     __slots__ = ("_json", "_clone", "_constants")
@@ -176,10 +174,12 @@ class SDFGSnapshot:
 
     @classmethod
     def capture(cls, sdfg) -> "SDFGSnapshot":
+        from ..ir.serialize import canonical_json
+
         try:
             # constants (e.g. module objects) are not part of the JSON
             # format; carry them alongside the serialized graph
-            return cls(json.dumps(sdfg.to_json()), None, dict(sdfg.constants))
+            return cls(canonical_json(sdfg), None, dict(sdfg.constants))
         except Exception:
             return cls(None, copy.deepcopy(sdfg))
 
@@ -202,14 +202,6 @@ class SDFGSnapshot:
             state.sdfg = sdfg
 
 
-def sdfg_fingerprint(sdfg) -> Optional[str]:
-    """A content hash of the graph, or None if it cannot be computed."""
-    try:
-        return str(hash(json.dumps(sdfg.to_json(), sort_keys=True, default=str)))
-    except Exception:
-        return None
-
-
 class OscillationDetector:
     """Detects fixed-point loops that revisit a previous graph state.
 
@@ -223,9 +215,13 @@ class OscillationDetector:
         self._sweep = 0
 
     def observe(self, sdfg) -> bool:
+        from ..cache.fingerprint import fingerprint
+
         self._sweep += 1
-        fp = sdfg_fingerprint(sdfg)
-        if fp is None:
+        try:
+            fp = fingerprint(sdfg)
+        except Exception:
+            # a graph that cannot serialize cannot be told apart: no verdict
             return False
         if fp in self._seen:
             return True
@@ -262,35 +258,6 @@ class Quarantine:
 # transactional application
 # --------------------------------------------------------------------------
 
-def transformation_name(transformation) -> str:
-    name = getattr(transformation, "name", "")
-    if name:
-        return name
-    if isinstance(transformation, type):
-        return transformation.__name__
-    return type(transformation).__name__
-
-
-def _static_issues(sdfg) -> frozenset:
-    """Provable race / out-of-bounds issue keys (sanitize.check_transforms)."""
-    from ..sanitizer import static_issue_keys
-
-    return static_issue_keys(sdfg)
-
-
-def _check_static_issues(sdfg, baseline: frozenset) -> None:
-    """Raise when the transformed graph has provable issues the original
-    did not — semantics-preservation failed even though validation passed."""
-    from ..sanitizer import SanitizerError
-
-    fresh = _static_issues(sdfg) - baseline
-    if fresh:
-        raise SanitizerError(
-            "static", sdfg.name,
-            "transformation introduced provable issue(s): "
-            + "; ".join(sorted(fresh)), issues=sorted(fresh))
-
-
 def transactional_apply(sdfg, transformation, *,
                         report: Optional[FailureReport] = None,
                         quarantine: Optional[Quarantine] = None,
@@ -298,47 +265,14 @@ def transactional_apply(sdfg, transformation, *,
                         **options) -> int:
     """Apply *transformation* repeatedly under a transaction.
 
-    Snapshot → apply-to-fixed-point → validate → on any exception (including
-    a validation failure of the transformed graph) roll the SDFG back to the
-    snapshot, record the failure, and bump the quarantine counter.  Returns
-    the number of applications that *survived* (0 after a rollback).
+    The one-pass spelling of :class:`repro.transformations.pipeline
+    .PassTransaction`: snapshot → apply-to-fixed-point → validate → static
+    race/bounds gate → on any exception (including a validation failure of
+    the transformed graph) roll the SDFG back to the snapshot, record the
+    failure, and bump the quarantine counter.  Returns the number of
+    applications that *survived* (0 after a rollback).
     """
-    name = transformation_name(transformation)
-    if quarantine is not None and quarantine.is_quarantined(name):
-        return 0
-    snapshot: Optional[SDFGSnapshot] = None
-    try:
-        # snapshotting is the expensive part of the transaction; skip it when
-        # the transformation has nothing to apply (the common case in
-        # fixed-point sweeps)
-        if next(iter(transformation.matches(sdfg, **options)), None) is None:
-            return 0
-        check_static = Config.get("sanitize.check_transforms")
-        baseline = _static_issues(sdfg) if check_static else frozenset()
-        snapshot = SDFGSnapshot.capture(sdfg)
-        applied = transformation.apply_repeated(
-            sdfg, max_applications=max_applications, **options)
-        if applied and not Config.get("validate.after_transform"):
-            # apply_once validates per application when the config flag is
-            # on; otherwise the transaction still validates the final graph
-            sdfg.validate()
-        if applied and check_static:
-            _check_static_issues(sdfg, baseline)
-        return applied
-    except Exception as exc:
-        if snapshot is not None:
-            snapshot.restore(sdfg)
-        action = "rolled-back"
-        if quarantine is not None:
-            count = quarantine.record_failure(name)
-            if quarantine.is_quarantined(name):
-                action = "quarantined"
-            detail = {"failure_count": count}
-        else:
-            detail = {}
-        if report is not None:
-            report.record("transformation", name, exc, action, **detail)
-        warnings.warn(
-            f"transformation {name} failed ({type(exc).__name__}: {exc}); "
-            f"SDFG {sdfg.name!r} {action}", ResilienceWarning, stacklevel=2)
-        return 0
+    from ..transformations.pipeline import PassTransaction
+
+    return PassTransaction(sdfg, report=report, quarantine=quarantine).apply(
+        transformation, max_applications=max_applications, **options)

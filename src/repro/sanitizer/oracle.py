@@ -19,17 +19,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autoopt import auto_optimize
+from ..autoopt import AUTOOPT_STEPS, auto_optimize
 from ..codegen import compile_sdfg
 from ..runtime.executor import run_sdfg
 
 __all__ = ["AUTOOPT_STEPS", "tolerance_for", "generate_inputs",
            "compare_values", "fresh_inputs", "harvest_outputs",
            "compare_outputs", "OracleReport", "run_oracle", "bisect_passes"]
-
-#: named auto_optimize steps, in pipeline order (mirrors autoopt.auto_optimize)
-AUTOOPT_STEPS = ["cleanup", "loop_to_map", "collapse", "fusion", "tile_wcr",
-                 "transients", "device", "library"]
 
 
 def tolerance_for(dtype) -> Tuple[float, float]:
@@ -44,9 +40,13 @@ def tolerance_for(dtype) -> Tuple[float, float]:
     return (0.0, 0.0)
 
 
-def compare_values(expected, actual, name: str = "value") -> Optional[str]:
+def compare_values(expected, actual, name: str = "value",
+                   inputs: Sequence[object] = ()) -> Optional[str]:
     """``None`` when *actual* matches *expected*; a human-readable
-    description of the first discrepancy otherwise."""
+    description of the first discrepancy otherwise.  A floating result is
+    held to the tolerance of the narrowest floating dtype among itself and
+    the *inputs* it was computed from (float32 rounding survives in a
+    float64 container, DESIGN.md §14); anything else compares exactly."""
     exp = np.asarray(expected)
     act = np.asarray(actual)
     if exp.shape != act.shape:
@@ -57,6 +57,9 @@ def compare_values(expected, actual, name: str = "value") -> Optional[str]:
             bad = int(np.count_nonzero(exp != act))
             return f"{name}: {bad} element(s) differ (exact comparison)"
         return None
+    rtol, atol = max([(rtol, atol)] + [
+        tolerance_for(dt) for dt in (np.asarray(v).dtype for v in inputs)
+        if dt.kind in "fc"])
     if not np.allclose(act, exp, rtol=rtol, atol=atol, equal_nan=True):
         with np.errstate(invalid="ignore"):
             err = np.abs(act.astype(np.float64, copy=False)
@@ -125,15 +128,18 @@ def harvest_outputs(call_args: Dict[str, object], returned,
     return got
 
 
-def compare_outputs(expected: Dict[str, object],
-                    actual: Dict[str, object]) -> List[str]:
-    """Discrepancies between two :func:`harvest_outputs` results."""
+def compare_outputs(expected: Dict[str, object], actual: Dict[str, object],
+                    inputs: Dict[str, object]) -> List[str]:
+    """Discrepancies between two :func:`harvest_outputs` results of a case
+    run on *inputs* (whose dtypes bound the tolerance, see
+    :func:`compare_values`)."""
     mismatches = []
     for name in sorted(expected):
         if name not in actual:
             mismatches.append(f"{name}: missing from outputs")
             continue
-        msg = compare_values(expected[name], actual[name], name)
+        msg = compare_values(expected[name], actual[name], name,
+                             inputs.values())
         if msg:
             mismatches.append(msg)
     return mismatches
@@ -260,7 +266,7 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
             expected = got
             report.stages[stage] = "ok (reference)"
             return got
-        mismatches = compare_outputs(expected, got)
+        mismatches = compare_outputs(expected, got, inputs)
         if mismatches:
             report.stages[stage] = "mismatch: " + "; ".join(mismatches[:3])
             report.mismatches.extend(f"{stage}: {m}" for m in mismatches)
@@ -278,16 +284,13 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
 
     def optimize(sdfg, enabled_prefix: Optional[int] = None):
         if steps is not None:
-            upto = len(steps) if enabled_prefix is None else enabled_prefix
-            for _n, fn in steps[:upto]:
+            for _n, fn in steps[:enabled_prefix]:
                 fn(sdfg)
         else:
-            if enabled_prefix is None:
-                auto_optimize(sdfg, device=device)
-            else:
-                enabled = set(AUTOOPT_STEPS[:enabled_prefix])
-                auto_optimize(sdfg, device=device,
-                              passes={s: s in enabled for s in AUTOOPT_STEPS})
+            # switch the suffix off; the prefix keeps its defaults
+            off = () if enabled_prefix is None else AUTOOPT_STEPS[enabled_prefix:]
+            auto_optimize(sdfg, device=device,
+                          passes=dict.fromkeys(off, False))
         return sdfg
 
     optimized_ok = run_stage(
@@ -306,7 +309,7 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
                 got = harvest_outputs(args, ret, out_names)
             except Exception:
                 return False
-            return not compare_outputs(expected, got)
+            return not compare_outputs(expected, got, inputs)
 
         if not prefix_ok(len(step_names)):
             report.culprit = step_names[_prefix_search(prefix_ok, len(step_names)) - 1]

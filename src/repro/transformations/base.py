@@ -9,9 +9,7 @@ matches; the driver loops until a fixed point.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
-
-from ..config import Config
+from typing import Any, Iterator, Optional
 
 __all__ = ["Transformation", "apply_transformation"]
 
@@ -37,8 +35,7 @@ class Transformation:
         """Apply at the first match; returns True if anything changed."""
         for match in cls.matches(sdfg, **options):
             cls.apply_match(sdfg, match, **options)
-            if Config.get("validate.after_transform"):
-                sdfg.validate()
+            sdfg.validate()
             return True
         return False
 

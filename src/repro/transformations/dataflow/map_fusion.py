@@ -190,6 +190,11 @@ class GreedySubgraphFusion(Transformation):
                 continue
             conn_base = edge.dst_conn[3:] if edge.dst_conn else None
             if conn_base is None:
+                # an ordering edge (StateFusion's WAW/WAR on a container
+                # scope 2 writes): the fused scope must still wait for its
+                # source, which _check proved is not downstream of scope 1
+                if not state.edges_between(edge.src, entry1):
+                    state.add_nedge(edge.src, entry1, Memlet.empty())
                 state.remove_edge(edge)
                 continue
             in_conn = f"IN_{conn_base}"
@@ -240,6 +245,13 @@ class GreedySubgraphFusion(Transformation):
                                        drain.dst_conn, drain.memlet)
             state.add_edge(edge.src, edge.src_conn, exit1, in_conn, new_memlet)
             state.remove_edge(edge)
+
+        # ... and whatever had to wait for scope 2 (a later writer of a
+        # container it reads) now waits for the fused scope
+        for edge in state.out_edges(exit2):
+            if edge.memlet.is_empty() \
+                    and not state.edges_between(exit1, edge.dst):
+                state.add_nedge(exit1, edge.dst, Memlet.empty())
 
         state.remove_node(entry2)
         state.remove_node(exit2)

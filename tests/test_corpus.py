@@ -43,12 +43,18 @@ def test_matches_reference(name):
     check_outputs(bench, args_prog, args_ref, ret_prog, ret_ref)
 
 
+def parsed_clone(bench):
+    """A private copy of the benchmark's parsed (simplified) SDFG."""
+    program = bench.program
+    if program._annotation_descs() is None:
+        return program.to_sdfg(**bench.arguments("test")).clone()
+    return program.to_sdfg().clone()
+
+
 @pytest.mark.parametrize("name", AUTOOPT_SUBSET)
 def test_matches_reference_after_autoopt(name):
     bench = registry.get(name)
-    sdfg = bench.program.to_sdfg(**bench.arguments("test")).clone() \
-        if bench.program._annotation_descs() is None \
-        else bench.program.to_sdfg().clone()
+    sdfg = parsed_clone(bench)
     auto_optimize(sdfg, device="CPU")
     compiled = compile_sdfg(sdfg)
     args_prog = bench.arguments("test")
@@ -57,6 +63,28 @@ def test_matches_reference_after_autoopt(name):
     ret_prog = compiled(**call_args)
     ret_ref = bench.reference(**args_ref)
     check_outputs(bench, args_prog, args_ref, ret_prog, ret_ref)
+
+
+def test_rollback_census():
+    """Which passes the pipeline rolls back across the corpus, pinned: a
+    pass that newly fails — or newly stops failing — must show up here, not
+    scroll past as a ResilienceWarning."""
+    import warnings
+
+    from repro.resilience import FailureReport, ResilienceWarning
+
+    rolled_back = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResilienceWarning)
+        for bench in ALL:
+            report = FailureReport()
+            auto_optimize(parsed_clone(bench), device="CPU", report=report)
+            # simplify's rollbacks went to the program's own report at parse
+            subjects = [r.subject for r in
+                        bench.program.failure_report.records + report.records]
+            if subjects:
+                rolled_back[bench.name] = subjects
+    assert rolled_back == {"nbody": ["fusion"]}
 
 
 def test_registry_complete():

@@ -462,14 +462,93 @@ class TestTransactionalGate:
         assert isinstance(report.transformation_failures[0].error,
                           SanitizerError)
 
-    def test_gate_disabled_lets_pass_through(self):
-        from repro.resilience import transactional_apply
+    def test_rollback_reinstates_the_remembered_issue_set(self, monkeypatch):
+        # _DropWCR overrides apply_repeated, so nothing validates or checks
+        # it per application: only the transaction's gate stands in its way
+        from repro.resilience import ResilienceWarning
+        from repro.transformations import pipeline
+
+        analyses = []
+        real = pipeline.static_issue_keys
+
+        def counting(sdfg):
+            analyses.append(sdfg.name)
+            return real(sdfg)
+
+        monkeypatch.setattr(pipeline, "static_issue_keys", counting)
+        sdfg = reduction_sdfg("sum")
+        txn = pipeline.PassTransaction(sdfg)
+        with pytest.warns(ResilienceWarning, match="DropWCR"):
+            assert txn.apply(_DropWCR) == 0
+        assert _wcr_edges(sdfg)
+        assert len(analyses) == 2              # baseline + after-check
+        # the set the transaction now trusts is the restored graph's: no
+        # third analysis, and it equals a fresh one
+        assert txn.issues() == real(sdfg)
+        assert len(analyses) == 2
+
+    def test_nested_pass_not_blamed_for_its_step_bodys_own_race(
+            self, monkeypatch):
+        # the LoopToMap-step shape: change, simplify, change again, simplify
+        # again.  The second simplify must analyse its own baseline (the
+        # racy graph) rather than trust the set its predecessor left, or
+        # its passes would be rolled back for a race they did not introduce.
+        from repro.resilience import FailureReport, ResilienceWarning
+        from repro.transformations import pipeline
+
+        class AddMarker:
+            name = "AddMarker"
+            limit = 0
+
+            @classmethod
+            def matches(cls, sdfg, **options):
+                if sum(n.startswith("__mark") for n in sdfg.arrays) < cls.limit:
+                    yield True
+
+            @classmethod
+            def apply_repeated(cls, sdfg, max_applications=None, **options):
+                sdfg.add_transient(f"__mark{cls.limit}", (1,), repro.float64)
+                return 1
+
+        monkeypatch.setattr(pipeline, "SIMPLIFY_TRANSFORMATIONS", [AddMarker])
+        sdfg = reduction_sdfg("sum")
+        report = FailureReport()
+        txn = pipeline.PassTransaction(sdfg, report=report)
+
+        def body():
+            AddMarker.limit = 1
+            applied = txn.simplify()
+            for edge in _wcr_edges(sdfg):
+                edge.memlet.wcr = None
+            AddMarker.limit = 2
+            return applied + txn.simplify()
+
+        with pytest.warns(ResilienceWarning, match="step"):
+            assert txn.run("step", body) == 0
+        assert [(r.kind, r.subject) for r in report.records] == [
+            ("optimization", "step")]
+        assert _wcr_edges(sdfg) and "__mark1" not in sdfg.arrays
+
+    def test_step_thunk_bypassing_apply_once_rolled_back(self):
+        from repro.resilience import FailureReport, ResilienceWarning
+        from repro.transformations.pipeline import PassTransaction
 
         sdfg = reduction_sdfg("sum")
-        with Config.override(sanitize__check_transforms=False):
-            applied = transactional_apply(sdfg, _DropWCR)
-        assert applied > 0
-        assert not _wcr_edges(sdfg)
+        report = FailureReport()
+        txn = PassTransaction(sdfg, report=report)
+
+        def strip_wcr():  # counts nothing: assumed to have changed the graph
+            for edge in _wcr_edges(sdfg):
+                edge.memlet.wcr = None
+
+        with pytest.warns(ResilienceWarning, match="strip"):
+            assert txn.run("strip", strip_wcr) == 0
+        assert _wcr_edges(sdfg), "rollback must restore the WCR edges"
+        (record,) = report.records
+        assert (record.kind, record.subject, record.action) == \
+            ("optimization", "strip", "rolled-back")
+        assert isinstance(record.error, SanitizerError)
+        assert txn.issues() == static_issue_keys(sdfg) == frozenset()
 
 
 # ---------------------------------------------------------------------------

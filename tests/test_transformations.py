@@ -201,6 +201,31 @@ class TestFusionCollapseTiling:
         GreedySubgraphFusion.apply_repeated(sdfg)
         assert count_maps(sdfg) == before
 
+    def test_fusion_keeps_ordering_edges_of_the_absorbed_scope(self):
+        """The absorbed scope's ordering edges move to the fused scope: a
+        later writer of a container it reads still waits for it (WAR), as
+        does the fused scope for an earlier writer of one it writes (WAW,
+        tests/fuzz_corpus/case_237 and case_1000084)."""
+        @repro.program
+        def prog(A: repro.float64[4], B: repro.float64[4],
+                 X: repro.float64[4]):
+            t0 = np.exp(A)
+            for i in repro.map[0:4]:
+                B[i] = t0[i] + X[3 - i]
+            for i in repro.map[0:4]:
+                X[i] = 5.0
+
+        sdfg = prog.to_sdfg().clone()
+        before = count_maps(sdfg)
+        GreedySubgraphFusion.apply_repeated(sdfg)
+        assert count_maps(sdfg) < before
+        A = np.arange(4, dtype=np.float64)
+        B = np.zeros(4)
+        X = np.arange(4, dtype=np.float64) + 1.0
+        compile_sdfg(sdfg, cache=False)(A=A, B=B, X=X)
+        assert np.allclose(B, np.exp(A) + (np.arange(4) + 1.0)[::-1])
+        assert np.allclose(X, 5.0)
+
     def test_map_collapse(self):
         sdfg = SDFG("nested")
         sdfg.add_array("A", (N, N), repro.float64)
