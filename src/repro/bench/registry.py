@@ -54,11 +54,6 @@ class Benchmark:
     def arguments(self, size: str = "test") -> Dict[str, object]:
         return self.init(dict(self.sizes[size]))
 
-    def flop_estimate(self, size: str = "test") -> float:
-        """Rough algorithmic flop count for sanity checks (optional)."""
-        return 0.0
-
-
 def register(benchmark: Benchmark) -> Benchmark:
     if benchmark.name in _REGISTRY:
         raise KeyError(f"benchmark {benchmark.name!r} already registered")

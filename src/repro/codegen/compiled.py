@@ -18,7 +18,8 @@ import time
 from typing import Dict, Optional, Tuple
 
 from .. import instrumentation
-from ..runtime.executor import collect_return, prepare_arguments
+from ..cache import cached_compile
+from ..runtime.executor import CallingConvention
 
 __all__ = ["CompiledSDFG", "build", "compile_sdfg"]
 
@@ -39,6 +40,8 @@ class CompiledSDFG:
                  validate_seconds: float = 0.0,
                  codegen_seconds: float = 0.0):
         self.sdfg = sdfg
+        #: the signature of the graph as built; later edits of it do not count
+        self.convention = CallingConvention(sdfg)
         self._run = run
         self.source = source
         self.closure_specs = dict(closure_specs)
@@ -55,11 +58,11 @@ class CompiledSDFG:
         self.last_symbols: Dict[str, int] = {}
 
     def __call__(self, *args, **kwargs):
-        containers, symbols = prepare_arguments(self.sdfg, args, kwargs)
-        return self.run_prepared(containers, symbols)
+        return self.run_prepared(*self.convention.bind(args, kwargs))
 
     def run_prepared(self, containers: Dict, symbols: Dict,
-                     start_state: Optional[int] = None):
+                     start_state: Optional[int] = None,
+                     visits: Optional[Dict[int, int]] = None):
         """Execute with already-bound containers/symbols, optionally resuming
         at a state-machine index (checkpoint/restart, DESIGN.md §10).
 
@@ -67,12 +70,17 @@ class CompiledSDFG:
         numbering the generated module and the distributed checkpointer
         share.  Containers may include pre-populated transients (restored
         from a snapshot); they are reused instead of zero-allocated.
+
+        This call's state-visit counts land in *visits* when given;
+        ``last_state_visits``/``last_symbols`` are for single-threaded
+        callers — threads sharing the artifact overwrite them.
         """
-        visits: Dict[int, int] = {}
+        if visits is None:
+            visits = {}
         self._run(containers, symbols, visits, start_state)
         self.last_state_visits = visits
         self.last_symbols = dict(symbols)
-        return collect_return(self.sdfg, containers)
+        return self.convention.collect(containers)
 
     def save_source(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -116,14 +124,9 @@ def compile_sdfg(sdfg, device: str = "CPU", instrument: bool = False,
     a hit rehydrates the module from cached source instead of re-generating
     it (see :mod:`repro.cache`).
     """
-    if cache is None:
-        from ..config import Config
-
-        cache = bool(Config.get("cache.enabled"))
-    if cache:
-        from ..cache import cached_compile
-
-        return cached_compile(sdfg, device=device, instrument=instrument,
-                              sanitize=sanitize)
-    return build(sdfg, device=device, instrument=instrument,
-                 sanitize=sanitize)
+    if cache is False:
+        return build(sdfg, device=device, instrument=instrument,
+                     sanitize=sanitize)
+    # the front door itself compiles uncached when the cache is configured off
+    return cached_compile(sdfg, device=device, instrument=instrument,
+                          sanitize=sanitize)

@@ -197,9 +197,6 @@ class _Generator:
         self.lines.append("    " * self._indent + text)
 
     # ------------------------------------------------------------ helpers
-    def expr_code(self, expr: Expr) -> str:
-        return f"({expr})"
-
     def subset_slices_code(self, subset: Range, desc) -> str:
         """Python tuple-of-slices code for a symbolic subset."""
         if isinstance(desc, Scalar):
@@ -1003,10 +1000,8 @@ def _exec_module(sdfg, source: str, closures: Dict[str, object],
         sdfg.arrays[name], symbols)
 
     def _alloc_shaped(name, shape):
-        import numpy as _np
-
         desc = sdfg.arrays[name]
-        return _np.zeros(tuple(int(s) for s in shape), dtype=desc.dtype.nptype)
+        return np.zeros(tuple(int(s) for s in shape), dtype=desc.dtype.nptype)
 
     namespace["__alloc_shaped"] = _alloc_shaped
     compiled = compile(source, f"<sdfg {sdfg.name}>", "exec")

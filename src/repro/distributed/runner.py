@@ -1,11 +1,15 @@
 """SPMD execution of data-centric programs on the simulated cluster.
 
-``run_distributed(program, size, ...)`` compiles the program once and runs
-one instance per simulated rank (threads).  Rank 0 operates on the caller's
-arrays (preserving the in-place calling convention); other ranks receive
-private copies, as each node of a real cluster would hold its own buffers.
-Returns the per-rank virtual clocks and communication statistics along with
-rank 0's result.
+``run_distributed(program, size, ...)`` runs one instance of the program per
+simulated rank (threads), all sharing one compiled artifact and its calling
+convention.  The artifact comes from the compilation cache, so a repeated
+call skips code generation but still hashes the graph — and, with the
+communication optimizer on, first clones and re-optimizes it (a measured
+per-call cost, ROADMAP E(i)).  Rank 0 operates on the caller's arrays
+(preserving the in-place calling convention); other ranks receive private
+copies, as each node of a real cluster would hold its own buffers.  Returns
+the per-rank virtual clocks and communication statistics along with rank
+0's result.
 
 Execution is routed through the checkpoint/restart supervisor
 (:mod:`repro.resilience.distributed`, DESIGN.md §10): with checkpointing
@@ -80,7 +84,6 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
     from ..frontend.decorator import DaceProgram
     from ..governor.budget import Budget
     from ..ir.sdfg import SDFG
-    from ..runtime.executor import prepare_arguments
 
     budget = Budget.resolve(budget)
     if budget.is_null:
@@ -105,6 +108,11 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
 
     grid_obj = grid or ProcessGrid(size)
     visits_holder: Dict[int, int] = {}
+    # reserved distribution symbols used by the transformations
+    reserved = {name: value for name, value in
+                zip(("__P", "__GR0", "__GR1"), (size, *grid_obj.dims),
+                    strict=False)
+                if name in compiled.convention.free_symbols}
 
     # a restart without a committed checkpoint replays from the initial
     # inputs; rank 0 mutates the caller's arrays in place, so keep pristine
@@ -117,7 +125,7 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
             np.copyto(kwargs[name], copy_)
 
     def rank_fn(comm, snapshot: Optional[RankSnapshot]):
-        local_kwargs = {}
+        local_kwargs = dict(reserved)
         for name, value in kwargs.items():
             if isinstance(value, np.ndarray) and comm.rank != 0:
                 local_kwargs[name] = np.copy(value)
@@ -125,16 +133,7 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
                 local_kwargs[name] = value
         if rank_args is not None:
             local_kwargs.update(rank_args(comm.rank, grid_obj))
-        # reserved distribution symbols used by the transformations
-        free = compiled.sdfg.free_symbols
-        if "__P" in free:
-            local_kwargs.setdefault("__P", size)
-        if "__GR0" in free:
-            local_kwargs.setdefault("__GR0", grid_obj.dims[0])
-        if "__GR1" in free:
-            local_kwargs.setdefault("__GR1", grid_obj.dims[1])
-        containers, symbols = prepare_arguments(
-            compiled.sdfg, (), local_kwargs)
+        containers, symbols = compiled.convention.bind((), local_kwargs)
         if budget is not None and budget.max_bytes:
             from ..governor.admission import admit
 
@@ -150,10 +149,13 @@ def run_distributed(program, size: int, grid: Optional[ProcessGrid] = None,
             start_state = snapshot.state_index
             snapshot.restore_into(containers)
             symbols.update(snapshot.symbols)
+        # this call's own counts: the artifact's last_state_visits is
+        # overwritten by whichever rank thread finishes last
+        visits: Dict[int, int] = {}
         result = compiled.run_prepared(containers, symbols,
-                                       start_state=start_state)
+                                       start_state=start_state, visits=visits)
         if comm.rank == 0:
-            visits_holder.update(compiled.last_state_visits)
+            visits_holder.update(visits)
         return result
 
     run = run_spmd_supervised(

@@ -17,10 +17,15 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import instrumentation
 from ..config import Config
 from ..dtypes import ArrayAnnotation, dtype_of, typeclass
+from ..governor import Budget, GovernorError, breaker_registry, governed
 from ..ir.data import Array, Data, Scalar
 from ..ir.sdfg import SDFG
+from ..resilience import FailureReport, ResilienceWarning
+from ..runtime.executor import CallingConvention, run_sdfg
+from ..sanitizer import guards
 from ..symbolic import Symbol
 from .astutils import UnsupportedFeature, function_ast
 
@@ -76,8 +81,6 @@ class DaceProgram:
         #: desc-key -> content fingerprint, memoized for the circuit breaker
         self._breaker_keys: Dict[Tuple, str] = {}
         #: absorbed failures (rollbacks, degradations) across all calls
-        from ..resilience import FailureReport
-
         self.failure_report = FailureReport()
         self._signature = inspect.signature(func)
         self._defaults = {
@@ -100,9 +103,11 @@ class DaceProgram:
         #: memo key of the annotation descriptors; None when some parameter
         #: is unannotated and calls specialize per argument signature (JIT)
         self._annotated_key: Optional[Tuple] = None
+        self._annotated_parts = dict(zip(self._annotated,
+                                         self._desc_key(self._annotated)))
         if self._annotation_error is None \
                 and len(self._annotated) == len(self._signature.parameters):
-            self._annotated_key = self._desc_key(self._annotated)
+            self._annotated_key = tuple(self._annotated_parts.values())
 
     # -------------------------------------------------------------- descriptors
     def _global_env(self) -> Dict[str, Any]:
@@ -127,36 +132,46 @@ class DaceProgram:
         bound.apply_defaults()
         return bound.arguments
 
-    def _descs_for(self, arguments: Optional[Dict[str, Any]]
-                   ) -> Tuple[Dict[str, Any], Tuple]:
-        """``(descriptors, memo key)`` of one call: the annotations' own
-        for a fully annotated program, else annotations plus descriptors
-        inferred from the bound *arguments* (JIT specialization)."""
+    def _key_for(self, arguments: Optional[Dict[str, Any]]) -> Tuple:
+        """Memo key of one call: the annotations' own for a fully annotated
+        program, else read straight off the bound *arguments* (JIT
+        specialization) — no descriptor is built for a key."""
         if self._annotation_error is not None:
             raise self._annotation_error
         if self._annotated_key is not None:
-            return self._annotated, self._annotated_key
-        descs: Dict[str, Any] = {}
+            return self._annotated_key
+        parts = []
         for name in self._signature.parameters:
-            desc = self._annotated.get(name)
-            if desc is None:
+            part = self._annotated_parts.get(name)
+            if part is None:
                 if name not in arguments:
                     raise TypeError(
                         f"missing argument {name!r} for {self.name}")
-                desc = _value_to_desc(arguments[name])
-            descs[name] = desc
-        return descs, self._desc_key(descs)
+                part = _value_key(name, arguments[name])
+            parts.append(part)
+        return tuple(parts)
 
-    def _descs_of(self, args, kwargs) -> Tuple[Dict[str, Any], Tuple]:
-        """:meth:`_descs_for` from raw call arguments (``to_sdfg`` and
-        ``compile``): binds only when descriptors must be inferred."""
+    def _descs_for(self, arguments: Optional[Dict[str, Any]]
+                   ) -> Tuple[Dict[str, Any], Tuple]:
+        """``(descriptors, memo key)`` of one call: annotations plus
+        descriptors inferred from the bound *arguments*."""
+        key = self._key_for(arguments)
+        if self._annotated_key is not None:
+            return self._annotated, key
+        return {name: (self._annotated[name] if name in self._annotated
+                       else _value_to_desc(arguments[name]))
+                for name in self._signature.parameters}, key
+
+    def _example(self, args, kwargs) -> Optional[Dict[str, Any]]:
+        """Bound example arguments of ``to_sdfg``/``compile``; None when
+        the annotations say everything and nothing needs binding."""
         if self._annotated_key is not None or self._annotation_error:
-            return self._descs_for(None)
+            return None
         if not args and not kwargs:
             raise UnsupportedFeature(
                 f"{self.name} has unannotated parameters; pass example "
                 f"arguments to to_sdfg() for JIT specialization")
-        return self._descs_for(self._bind(args, kwargs))
+        return self._bind(args, kwargs)
 
     @staticmethod
     def _desc_key(descs: Dict[str, Any]) -> Tuple:
@@ -205,7 +220,8 @@ class DaceProgram:
     def to_sdfg(self, *args, simplify: Optional[bool] = None, **kwargs) -> SDFG:
         """Parse to an SDFG.  Annotated programs need no arguments (AOT);
         unannotated programs specialize to the given example arguments."""
-        return self._parse(*self._descs_of(args, kwargs), simplify=simplify)
+        return self._parse(*self._descs_for(self._example(args, kwargs)),
+                           simplify=simplify)
 
     # ---------------------------------------------------------------- execution
     def compile(self, *args, device: Optional[str] = None,
@@ -228,21 +244,20 @@ class DaceProgram:
         """
         if sanitize is None:
             sanitize = bool(self._sanitize_mode())
-        descs, key = self._descs_of(args, kwargs)
-        return self._compile(descs, key, device or self.device, instrument,
-                             sanitize)
+        return self._compile(self._example(args, kwargs),
+                             device or self.device, instrument, sanitize)
 
-    def _compile(self, descs: Dict[str, Any], key: Tuple, device: str,
+    def _compile(self, arguments: Optional[Dict[str, Any]], device: str,
                  instrument: bool, sanitize: bool):
-        memo = (key, device, self.auto_optimize, instrument, sanitize)
+        memo = (self._key_for(arguments), device, self.auto_optimize,
+                instrument, sanitize)
         compiled = self._compiled_cache.get(memo)
         if compiled is not None:
             return compiled
-        from .. import instrumentation
         from ..cache import cached_compile
 
         with instrumentation.record_region("phase", "parse"):
-            sdfg = self._parse(descs, key)
+            sdfg = self._parse(*self._descs_for(arguments))
         compiled = cached_compile(
             sdfg, device=device, instrument=instrument, sanitize=sanitize,
             optimize=device if self.auto_optimize else None,
@@ -252,8 +267,6 @@ class DaceProgram:
 
     def _sanitize_mode(self) -> str:
         """Resolved sanitizer mode: a comma-joined guard set, "" when off."""
-        from ..sanitizer import guards
-
         mode = self.sanitize
         if mode is None:
             mode = Config.get("sanitize.mode")
@@ -273,7 +286,7 @@ class DaceProgram:
         gets a fresh, closed one).  Memoized per argument-descriptor
         signature; falls back to the program name when parsing fails."""
         try:
-            descs, dkey = self._descs_for(arguments)
+            dkey = self._key_for(arguments)
         except Exception:
             return f"program:{self.name}"
         key = self._breaker_keys.get(dkey)
@@ -281,7 +294,7 @@ class DaceProgram:
             try:
                 from ..cache import fingerprint
 
-                key = fingerprint(self._parse(descs, dkey))
+                key = fingerprint(self._parse(*self._descs_for(arguments)))
             except Exception:
                 key = f"program:{self.name}"
             self._breaker_keys[dkey] = key
@@ -294,13 +307,12 @@ class DaceProgram:
         A governed call (non-null budget, see DESIGN.md §12) goes through
         the program's circuit breaker, compiles *before* the deadline is
         armed — the deadline bounds execution, not the cached one-time
-        compile — and is admission-checked against ``max_bytes``; an open
-        circuit fast-fails before any parse or compile.  An instrumented
+        compile — and is admission-checked against ``max_bytes`` under the
+        symbols its artifact's calling convention binds; an open circuit
+        fast-fails before any parse or compile.  An instrumented
         call reports into the enclosing profile collector if there is one,
         else into a fresh one whose report lands on ``last_profile``.
         """
-        from ..governor import Budget
-
         # reserved keyword: a per-call governor budget (never a program arg)
         budget = kwargs.pop("__budget", None)
         arguments = self._bind(args, kwargs)
@@ -310,11 +322,6 @@ class DaceProgram:
         budget = Budget.resolve(budget if budget is not None else self.budget)
         if not sanitize and not instrument and budget.is_null:
             return self._dispatch(args, kwargs, arguments, False, False)
-
-        from .. import instrumentation
-        from ..governor import breaker_registry, governed
-        from ..runtime.executor import prepare_arguments
-        from ..sanitizer import guards
 
         own = None
         with contextlib.ExitStack() as modes:
@@ -328,18 +335,22 @@ class DaceProgram:
                 modes.enter_context(breaker_registry().guard(
                     self._breaker_key(arguments), self.name,
                     self.failure_report))
-                if budget.deadline_s:
-                    # errors resurface, with full context, from the dispatch
-                    with contextlib.suppress(Exception):
-                        self._compile(*self._descs_for(arguments),
-                                      self.device, instrument, bool(sanitize))
+                compiled = None
+                # errors resurface, with full context, from the dispatch
+                with contextlib.suppress(Exception):
+                    compiled = self._compile(arguments, self.device,
+                                             instrument, bool(sanitize))
                 sdfg = symbols = None
                 if budget.max_bytes:
                     # the dispatch fallback owns unparseable programs
                     with contextlib.suppress(UnsupportedFeature):
                         sdfg = self._parse(*self._descs_for(arguments))
-                        symbols = prepare_arguments(
-                            sdfg, (), _call_kwargs(arguments))[1]
+                        # no artifact: the fallback tiers run this graph
+                        convention = (CallingConvention(sdfg)
+                                      if compiled is None
+                                      else compiled.convention)
+                        symbols = convention.bind(
+                            (), _call_kwargs(arguments))[1]
                 modes.enter_context(
                     governed(budget, sdfg, symbols, program=self.name))
             result = self._dispatch(args, kwargs, arguments, bool(sanitize),
@@ -364,11 +375,6 @@ class DaceProgram:
         profile collector.  Governor errors never advance: a timeout
         retried on a slower tier times out again.
         """
-        from .. import instrumentation
-        from ..governor import GovernorError
-        from ..resilience import ResilienceWarning
-        from ..runtime.executor import run_sdfg
-
         call_kwargs = _call_kwargs(arguments)
         degrade = Config.get("resilience.mode") == "degrade"
         coll = instrumentation.current()
@@ -380,7 +386,7 @@ class DaceProgram:
         def compiled_tier():
             with phase("compile"):
                 compiled = self._compile(
-                    *self._descs_for(arguments), self.device,
+                    arguments, self.device,
                     instrument or (degrade and coll is not None), sanitize)
             with phase("execute"):
                 return compiled(**call_kwargs)
@@ -469,12 +475,25 @@ def _annotation_to_desc(annotation) -> Any:
         f"(e.g. repro.float64[N, N])")
 
 
-def _value_to_desc(value) -> Data:
+def _value_kind(value) -> Tuple[type, typeclass, Tuple]:
+    """``(descriptor class, dtype, shape)`` a JIT argument specializes to."""
     if isinstance(value, np.ndarray):
-        return Array(dtype_of(value.dtype), value.shape)
+        return Array, dtype_of(value.dtype), value.shape
     if isinstance(value, (np.generic, int, float, complex, bool)):
-        return Scalar(dtype_of(value))
+        return Scalar, dtype_of(value), (1,)
     raise UnsupportedFeature(f"cannot infer descriptor for argument {value!r}")
+
+
+def _value_to_desc(value) -> Data:
+    cls, dtype, shape = _value_kind(value)
+    return Scalar(dtype) if cls is Scalar else Array(dtype, shape)
+
+
+def _value_key(name: str, value) -> Tuple:
+    """The ``DaceProgram._desc_key`` part of ``_value_to_desc(value)``,
+    without building the descriptor."""
+    cls, dtype, shape = _value_kind(value)
+    return (name, cls.__name__, dtype.name, tuple(map(str, shape)))
 
 
 def program(func: Optional[Callable] = None, *, auto_optimize: bool = False,

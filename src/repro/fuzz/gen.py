@@ -410,9 +410,6 @@ class GenCase:
     def arg_names(self) -> List[str]:
         return [a.name for a in self.args]
 
-    def array_args(self) -> List[ArraySpec]:
-        return [a for a in self.args if a.dims]
-
     def is_valid(self) -> bool:
         """Def-before-use over temps (arguments are always defined)."""
         defined = set(self.arg_names()) | set(self.globals)

@@ -27,6 +27,7 @@ import threading
 import time
 from typing import Any, Dict, Iterator, Optional
 
+from ..config import Config
 from ..runtime import context as _context
 
 __all__ = [
@@ -105,8 +106,6 @@ class Budget:
 
     @classmethod
     def from_config(cls) -> "Budget":
-        from ..config import Config
-
         return cls(deadline_s=float(Config.get("governor.deadline_s") or 0),
                    max_bytes=int(Config.get("governor.max_bytes") or 0))
 

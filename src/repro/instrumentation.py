@@ -262,13 +262,6 @@ def enabled() -> bool:
     return _ACTIVE is not None
 
 
-def config_mode() -> str:
-    """The globally configured mode (``instrument.mode``)."""
-    from .config import Config
-
-    return Config.get("instrument.mode")
-
-
 @contextlib.contextmanager
 def profile(program: str = "", mode: str = "timers",
             collector: Optional[ProfileCollector] = None

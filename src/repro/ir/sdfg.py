@@ -15,9 +15,9 @@ import networkx as nx
 
 from ..dtypes import typeclass
 from ..symbolic import Expr, Symbol, sympify
-from .data import Array, Data, Scalar, Stream, View, StorageType
+from .data import Array, Data, Scalar, Stream, StorageType
 from .interstate import InterstateEdge
-from .nodes import AccessNode, LibraryNode, NestedSDFG
+from .nodes import AccessNode, LibraryNode, MapEntry, NestedSDFG
 from .state import SDFGState
 
 __all__ = ["SDFG", "InterstateEdgeView"]
@@ -87,26 +87,11 @@ class SDFG:
         self.arrays[name] = desc
         return desc
 
-    def add_view(self, name: str, shape: Sequence, dtype: typeclass) -> View:
-        self._check_name(name)
-        desc = View(dtype, shape, transient=True)
-        self.arrays[name] = desc
-        self._register_shape_symbols(desc)
-        return desc
-
     def add_datadesc(self, name: str, desc: Data) -> Data:
         self._check_name(name)
         self.arrays[name] = desc
         self._register_shape_symbols(desc)
         return desc
-
-    def remove_data(self, name: str) -> None:
-        for state in self.states():
-            for node in state.data_nodes():
-                if node.data == name:
-                    raise ValueError(
-                        f"cannot remove {name!r}: still accessed in state {state.label!r}")
-        del self.arrays[name]
 
     def _register_shape_symbols(self, desc: Data) -> None:
         for sym in desc.free_symbols:
@@ -232,27 +217,20 @@ class SDFG:
         """Symbols that must be provided externally (not defined by shapes of
         arguments or interstate assignments)."""
         used: Set[str] = set()
+        defined = set(self.arrays)
         for desc in self.arrays.values():
             used |= {s.name for s in desc.free_symbols}
         for state in self.states():
             for edge in state.edges():
                 used |= {s.name for s in edge.memlet.free_symbols}
             for node in state.nodes():
-                from .nodes import MapEntry
                 if isinstance(node, MapEntry):
                     used |= {s.name for s in node.map.range.free_symbols}
+                    # map parameters are bound inside scopes
+                    defined |= set(node.map.params)
         for isedge in self.edges():
             used |= isedge.data.free_symbols
-        defined = set()
-        for isedge in self.edges():
             defined |= set(isedge.data.assignments)
-        # map parameters are bound inside scopes
-        for state in self.states():
-            from .nodes import MapEntry
-            for node in state.nodes():
-                if isinstance(node, MapEntry):
-                    defined |= set(node.map.params)
-        defined |= set(self.arrays)
         return used - defined
 
     # -- traversal helpers ----------------------------------------------------
@@ -298,20 +276,6 @@ class SDFG:
         from ..transformations.base import apply_transformation
 
         return apply_transformation(self, transformation, **options)
-
-    def apply_transformations_repeated(self, transformations, **options) -> int:
-        from ..transformations.base import apply_transformation
-
-        total = 0
-        changed = True
-        while changed:
-            changed = False
-            for xf in transformations:
-                n = apply_transformation(self, xf, **options)
-                if n:
-                    total += n
-                    changed = True
-        return total
 
     def simplify(self, report=None) -> int:
         """Run the dataflow-coarsening pass (§2.4, the -O1 analogue)."""

@@ -227,12 +227,6 @@ class SDFGState:
     def data_nodes(self) -> List[AccessNode]:
         return [n for n in self.nodes() if isinstance(n, AccessNode)]
 
-    def source_nodes(self) -> List[Node]:
-        return [n for n in self.nodes() if self.in_degree(n) == 0]
-
-    def sink_nodes(self) -> List[Node]:
-        return [n for n in self.nodes() if self.out_degree(n) == 0]
-
     def topological_nodes(self) -> Iterator[Node]:
         return nx.topological_sort(self._graph)
 
@@ -290,9 +284,6 @@ class SDFGState:
             stack.extend(self.successors(node))
         return result
 
-    def exit_node_of(self, entry: MapEntry) -> MapExit:
-        return entry.exit_node
-
     def entry_node_of(self, node: Node) -> Optional[MapEntry]:
         return self.scope_dict().get(node)
 
@@ -320,21 +311,6 @@ class SDFGState:
             current = downstream[0]
             path.append(current)
         return path
-
-    def read_and_write_sets(self) -> Tuple[Dict[str, List[Memlet]], Dict[str, List[Memlet]]]:
-        """Container name -> memlets read / written in this state."""
-        reads: Dict[str, List[Memlet]] = {}
-        writes: Dict[str, List[Memlet]] = {}
-        for edge in self.edges():
-            if edge.memlet.is_empty():
-                continue
-            if isinstance(edge.src, AccessNode) and not isinstance(edge.dst, AccessNode):
-                reads.setdefault(edge.src.data, []).append(edge.memlet)
-            if isinstance(edge.dst, AccessNode):
-                writes.setdefault(edge.dst.data, []).append(edge.memlet)
-            if isinstance(edge.src, AccessNode) and isinstance(edge.dst, AccessNode):
-                reads.setdefault(edge.src.data, []).append(edge.memlet)
-        return reads, writes
 
     def __repr__(self) -> str:
         return (f"SDFGState({self.label!r}, {self.number_of_nodes()} nodes, "

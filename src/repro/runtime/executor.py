@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from ..symbolic import Symbol
 from .context import boundary, masked
 from .wcr import apply_wcr
 
-__all__ = ["run_sdfg", "ExecutionError", "allocate_container", "infer_symbols"]
+__all__ = ["run_sdfg", "ExecutionError", "allocate_container", "infer_symbols",
+           "CallingConvention"]
 
 #: hard backstop against runaway state machines
 MAX_TRANSITIONS = 100_000_000
@@ -70,67 +72,167 @@ def allocate_container(desc, env: Dict[str, int]):
     return np.zeros(shape, dtype=desc.dtype.nptype)
 
 
-def infer_symbols(sdfg, containers: Dict[str, Any]) -> Dict[str, int]:
-    """Deduce free-symbol values from actual argument shapes and from
-    integer scalar arguments that share a free symbol's name.
+class ArgSpec(NamedTuple):
+    """One non-transient container of a :class:`CallingConvention`."""
 
-    Pure-symbol dimensions bind directly; composite dimensions are verified
-    afterwards (mismatch is an error, matching the paper's static symbolic
-    typing).  A shape-derived binding and a scalar-argument binding for the
-    same symbol must agree.
+    kind: str          # "array" | "scalar" | "stream"
+    nptype: np.dtype   # element type
+    #: per dimension of an array, the name of the pure symbol it binds or
+    #: the constant/composite expression it must verify
+    dims: Tuple[Any, ...]
+
+
+class CallingConvention:
+    """The signature of one SDFG, resolved in one pass over the graph and
+    immutable afterwards (DESIGN.md §16): the ordered non-transient
+    argument names, one :class:`ArgSpec` per argument (in ``sdfg.arrays``
+    order), the free symbols, every symbol name a keyword may bind
+    (registered or free) and the ``__return*`` containers.
+
+    A :class:`~repro.codegen.CompiledSDFG` builds it once — an artifact
+    binds by the graph it was built from — and every call reads it;
+    :func:`prepare_arguments`, :func:`infer_symbols` and
+    :func:`collect_return` build one on the fly for callers that hold only
+    a graph.  Rank threads sharing an artifact share it read-only: each
+    :meth:`bind` returns fresh ``containers``/``symbols`` dicts.
     """
-    env: Dict[str, int] = {}
-    for name, desc in sdfg.arrays.items():
-        if name not in containers or isinstance(desc, (Scalar, Stream)):
-            continue
-        value = containers[name]
-        if not hasattr(value, "shape"):
-            continue
-        if len(value.shape) != len(desc.shape):
+
+    __slots__ = ("arg_names", "arguments", "free_symbols", "symbols",
+                 "returns")
+
+    def __init__(self, sdfg):
+        arguments: Dict[str, ArgSpec] = {}
+        returns = []
+        for name, desc in sdfg.arrays.items():
+            if name.startswith("__return"):
+                returns.append((name, isinstance(desc, Scalar)))
+            if desc.transient:
+                continue
+            kind = ("scalar" if isinstance(desc, Scalar) else
+                    "stream" if isinstance(desc, Stream) else "array")
+            arguments[name] = ArgSpec(kind, desc.dtype.nptype, tuple(
+                d.name if isinstance(d, Symbol) else d
+                for d in (desc.shape if kind == "array" else ())))
+        order = sdfg.arg_names or sorted(arguments)
+        free = frozenset(sdfg.free_symbols)
+        init = object.__setattr__
+        init(self, "arg_names", tuple(n for n in order if n in arguments))
+        init(self, "arguments", MappingProxyType(arguments))
+        init(self, "free_symbols", free)
+        init(self, "symbols", free | frozenset(sdfg.symbols))
+        init(self, "returns", tuple(sorted(returns)))
+
+    def __setattr__(self, name, value):  # immutability
+        raise AttributeError("CallingConvention is immutable")
+
+    def bind(self, args, kwargs) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Bind positional/keyword arguments to fresh ``(containers,
+        symbols)`` dicts.  Mutates nothing; raises :class:`ExecutionError`
+        on signature violations."""
+        kwargs = dict(kwargs)
+        names = self.arg_names
+        if len(args) > len(names):
             raise ExecutionError(
-                f"argument {name!r} has {len(value.shape)} dimensions, "
-                f"expected {len(desc.shape)}")
-        for sym_dim, actual in zip(desc.shape, value.shape):
-            if isinstance(sym_dim, Symbol):
-                if sym_dim.name in env and env[sym_dim.name] != actual:
+                f"too many positional arguments: got {len(args)}, "
+                f"expected at most {len(names)}")
+        for name, value in zip(names, args):
+            kwargs.setdefault(name, value)
+        containers: Dict[str, Any] = {}
+        symbols: Dict[str, Any] = {}
+        for key, value in kwargs.items():
+            spec = self.arguments.get(key)
+            if spec is None:
+                if key not in self.symbols:
+                    raise ExecutionError(f"unknown argument {key!r}")
+                symbols[key] = int(value)
+            elif spec.kind == "scalar":
+                containers[key] = np.array([value], dtype=spec.nptype)
+            elif spec.kind == "stream":
+                containers[key] = value
+            else:
+                arr = np.asarray(value)
+                if arr.dtype != spec.nptype:
                     raise ExecutionError(
-                        f"inconsistent value for symbol {sym_dim.name}: "
-                        f"{env[sym_dim.name]} vs {actual} (argument {name!r})")
-                env[sym_dim.name] = int(actual)
-    # a free symbol supplied explicitly as an integer scalar argument binds
-    # too (shape-less programs have no other source); shape-derived values
-    # win conflicts only by raising, never silently
-    free = set(sdfg.free_symbols) | set(getattr(sdfg, "symbols", ()))
-    for name, desc in sdfg.arrays.items():
-        if not isinstance(desc, Scalar) or name not in containers \
-                or name not in free:
-            continue
-        value = np.asarray(containers[name]).reshape(-1)[0]
-        if not isinstance(value, (int, np.integer)):
-            continue
-        value = int(value)
-        if name in env and env[name] != value:
-            raise ExecutionError(
-                f"inconsistent value for symbol {name}: shape-derived "
-                f"{env[name]} vs scalar argument {value}")
-        env[name] = value
-    # verify composite dimensions now that symbols are bound
-    for name, desc in sdfg.arrays.items():
-        if name not in containers or isinstance(desc, (Scalar, Stream)):
-            continue
-        value = containers[name]
-        if not hasattr(value, "shape"):
-            continue
-        for sym_dim, actual in zip(desc.shape, value.shape):
+                        f"argument {key!r} has dtype {arr.dtype}, expected "
+                        f"{spec.nptype} (static symbolic typing)")
+                containers[key] = arr
+        symbols.update(self.infer(containers))
+        missing = [name for name in self.free_symbols if name not in symbols]
+        if missing:
+            raise ExecutionError(f"unbound symbols: {sorted(missing)}")
+        required = [n for n in names
+                    if n not in containers and n != "__return"]
+        if required:
+            raise ExecutionError(f"missing arguments: {required}")
+        return containers, symbols
+
+    def infer(self, containers: Dict[str, Any]) -> Dict[str, int]:
+        """Deduce symbol values from actual argument shapes and from
+        integer scalar arguments that share a symbol's name.
+
+        Pure-symbol dimensions bind directly; composite dimensions are
+        verified afterwards (mismatch is an error, matching the paper's
+        static symbolic typing).  A shape-derived binding and a
+        scalar-argument binding for the same symbol must agree.
+        """
+        env: Dict[str, int] = {}
+        unverified = []
+        for name, spec in self.arguments.items():
+            shape = getattr(containers.get(name), "shape", None)
+            if spec.kind != "array" or shape is None:
+                continue
+            if len(shape) != len(spec.dims):
+                raise ExecutionError(
+                    f"argument {name!r} has {len(shape)} dimensions, "
+                    f"expected {len(spec.dims)}")
+            for sym, actual in zip(spec.dims, shape):
+                if not isinstance(sym, str):
+                    unverified.append((name, sym, actual))
+                    continue
+                if sym in env and env[sym] != actual:
+                    raise ExecutionError(
+                        f"inconsistent value for symbol {sym}: "
+                        f"{env[sym]} vs {actual} (argument {name!r})")
+                env[sym] = int(actual)
+        # a symbol supplied explicitly as an integer scalar argument binds
+        # too (shape-less programs have no other source); shape-derived
+        # values win conflicts only by raising, never silently
+        for name, spec in self.arguments.items():
+            if spec.kind != "scalar" or name not in self.symbols \
+                    or name not in containers:
+                continue
+            value = np.asarray(containers[name]).reshape(-1)[0]
+            if not isinstance(value, (int, np.integer)):
+                continue
+            value = int(value)
+            if name in env and env[name] != value:
+                raise ExecutionError(
+                    f"inconsistent value for symbol {name}: shape-derived "
+                    f"{env[name]} vs scalar argument {value}")
+            env[name] = value
+        # verify composite dimensions now that symbols are bound
+        for name, dim, actual in unverified:
             try:
-                expected = sym_dim.evaluate(env)
+                expected = dim.evaluate(env)
             except KeyError:
                 continue
             if expected != actual:
                 raise ExecutionError(
-                    f"argument {name!r}: dimension {sym_dim} evaluates to "
+                    f"argument {name!r}: dimension {dim} evaluates to "
                     f"{expected} but actual size is {actual}")
-    return env
+        return env
+
+    def collect(self, containers):
+        """Extract the ``__return`` container(s) after execution, or None."""
+        results = []
+        for name, is_scalar in self.returns:
+            value = containers.get(name)
+            if value is not None and is_scalar:
+                value = value[0]
+            results.append(value)
+        if len(results) == 1:
+            return results[0]
+        return tuple(results) or None
 
 
 class _Context:
@@ -527,68 +629,19 @@ def _run_machine(sdfg, containers: Dict[str, Any], symbols: Dict[str, Any],
 
 
 def prepare_arguments(sdfg, args, kwargs):
-    """Bind positional/keyword arguments to (containers, symbols) dicts.
+    """:meth:`CallingConvention.bind` for callers that hold only a graph
+    (one graph walk per call; an artifact binds through its own)."""
+    return CallingConvention(sdfg).bind(args, kwargs)
 
-    Shared by the interpreter and compiled-module paths.  Mutates nothing;
-    raises :class:`ExecutionError` on signature violations.
-    """
-    kwargs = dict(kwargs)
-    arg_order = [n for n in (sdfg.arg_names or sorted(sdfg.arglist()))]
-    containers: Dict[str, Any] = {}
-    symbols: Dict[str, Any] = {}
 
-    positional = list(args)
-    names = [n for n in arg_order if n in sdfg.arrays and not sdfg.arrays[n].transient]
-    if len(positional) > len(names):
-        raise ExecutionError(
-            f"too many positional arguments: got {len(positional)}, "
-            f"expected at most {len(names)}")
-    for name, value in zip(names, positional):
-        kwargs.setdefault(name, value)
-
-    for key, value in kwargs.items():
-        if key in sdfg.arrays:
-            desc = sdfg.arrays[key]
-            if isinstance(desc, Scalar):
-                containers[key] = np.array([value], dtype=desc.dtype.nptype)
-            elif isinstance(desc, Stream):
-                containers[key] = value
-            else:
-                arr = np.asarray(value)
-                if arr.dtype != desc.dtype.nptype:
-                    raise ExecutionError(
-                        f"argument {key!r} has dtype {arr.dtype}, expected "
-                        f"{desc.dtype.nptype} (static symbolic typing)")
-                containers[key] = arr
-        elif key in sdfg.symbols or key in sdfg.free_symbols:
-            symbols[key] = int(value)
-        else:
-            raise ExecutionError(f"unknown argument {key!r}")
-
-    symbols.update(infer_symbols(sdfg, containers))
-    missing = [name for name in sdfg.free_symbols if name not in symbols]
-    if missing:
-        raise ExecutionError(f"unbound symbols: {sorted(missing)}")
-    required = [n for n in names if n not in containers and n != "__return"]
-    if required:
-        raise ExecutionError(f"missing arguments: {required}")
-    return containers, symbols
+def infer_symbols(sdfg, containers: Dict[str, Any]) -> Dict[str, int]:
+    """:meth:`CallingConvention.infer` for callers that hold only a graph."""
+    return CallingConvention(sdfg).infer(containers)
 
 
 def collect_return(sdfg, containers):
-    """Extract the ``__return`` container(s) after execution, or None."""
-    names = sorted(n for n in sdfg.arrays if n.startswith("__return"))
-    if not names:
-        return None
-    results = []
-    for name in names:
-        value = containers.get(name)
-        if value is not None and isinstance(sdfg.arrays[name], Scalar):
-            value = value[0]
-        results.append(value)
-    if len(results) == 1:
-        return results[0]
-    return tuple(results)
+    """:meth:`CallingConvention.collect` for callers that hold only a graph."""
+    return CallingConvention(sdfg).collect(containers)
 
 
 def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
@@ -614,7 +667,8 @@ def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
         validate = Config.get("validate.before_execute")
     if validate:
         sdfg.validate()
-    containers, symbols = prepare_arguments(sdfg, args, kwargs)
+    convention = CallingConvention(sdfg)
+    containers, symbols = convention.bind(args, kwargs)
     resolved = _governor_budget.Budget.resolve(budget)
     if resolved.is_null:
         _run_machine(sdfg, containers, symbols)
@@ -623,4 +677,4 @@ def run_sdfg(sdfg, *args, validate: Optional[bool] = None,
 
         with governed(resolved, sdfg, symbols, program=sdfg.name):
             _run_machine(sdfg, containers, symbols)
-    return collect_return(sdfg, containers)
+    return convention.collect(containers)

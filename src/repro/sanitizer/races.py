@@ -105,12 +105,6 @@ def _nonempty(rng: Range) -> Optional[bool]:
     return verdict
 
 
-def _param_names(memlet: Memlet, params: Sequence[str]) -> set:
-    if memlet.subset is None:
-        return set()
-    return {s.name for s in memlet.subset.free_symbols} & set(params)
-
-
 def _hull(subset: Range, param_ranges: Dict[str, Tuple]) -> Optional[Range]:
     """Over-approximate a parametric subset by a parameter-free box, by
     substituting each map parameter's extreme values.  Uses the per-dimension

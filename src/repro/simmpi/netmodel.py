@@ -41,10 +41,6 @@ class NetModel:
         """Sender-side cost of injecting a message."""
         return self.overhead_s + nbytes * self.inv_bandwidth_s_per_byte
 
-    def transit(self, nbytes: int) -> float:
-        """Wire time until the last byte arrives at the receiver."""
-        return self.latency_s + nbytes * self.inv_bandwidth_s_per_byte
-
     def ptp(self, nbytes: int) -> float:
         return self.send_overhead(nbytes) + self.latency_s
 

@@ -31,7 +31,7 @@ __all__ = ["Range"]
 class Range:
     """An N-dimensional symbolic box with inclusive bounds and strides."""
 
-    __slots__ = ("dims",)
+    __slots__ = ("dims", "_text")
 
     def __init__(self, dims: Iterable[Union[DimTriple, Tuple]]):
         normalized: List[DimTriple] = []
@@ -120,12 +120,6 @@ class Range:
 
     def num_elements(self, env: Optional[Mapping[str, int]] = None) -> int:
         return self.volume().evaluate(env)
-
-    def min_element(self) -> Tuple[Expr, ...]:
-        return tuple(begin for begin, _, _ in self.dims)
-
-    def max_element(self) -> Tuple[Expr, ...]:
-        return tuple(end for _, end, _ in self.dims)
 
     @property
     def free_symbols(self) -> frozenset:
@@ -237,10 +231,6 @@ class Range:
     def subs(self, env) -> "Range":
         return Range([(b.subs(env), e.subs(env), s.subs(env)) for b, e, s in self.dims])
 
-    def pop_dims(self, indices: Sequence[int]) -> "Range":
-        keep = [d for i, d in enumerate(self.dims) if i not in set(indices)]
-        return Range(keep)
-
     def to_slices(self, env: Optional[Mapping[str, int]] = None) -> Tuple[slice, ...]:
         """Concrete NumPy slices for this subset (requires all symbols bound).
 
@@ -282,15 +272,15 @@ class Range:
         return self.dims[index]
 
     def __str__(self) -> str:
-        parts = []
-        for begin, end, step in self.dims:
-            if definitely_eq(begin, end) is True:
-                parts.append(str(begin))
-            elif step == Integer(1):
-                parts.append(f"{begin}:{end + 1}")
-            else:
-                parts.append(f"{begin}:{end + 1}:{step}")
-        return ", ".join(parts)
+        # rendered once: a range is immutable and shared by graph clones, and
+        # each serialization (cache key, snapshot) prints every one again
+        if not hasattr(self, "_text"):
+            object.__setattr__(self, "_text", ", ".join(
+                str(begin) if definitely_eq(begin, end) is True
+                else f"{begin}:{end + 1}" if step == Integer(1)
+                else f"{begin}:{end + 1}:{step}"
+                for begin, end, step in self.dims))
+        return self._text
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Range[{self}]"

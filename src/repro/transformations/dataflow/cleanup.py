@@ -5,7 +5,8 @@
 * :class:`DegenerateMapRemoval` — remove size-1 maps (§3.1 (1)), substituting
   the parameter value into the scope's memlets and tasklet code.
 * :class:`DeadDataflowElimination` — remove computations whose results are
-  never observed (transient written, never read, not an argument).
+  never observed (transient written, never read, not an argument) and
+  access nodes that only carry ordering edges yet order nothing.
 """
 
 from __future__ import annotations
@@ -138,15 +139,30 @@ class DegenerateMapRemoval(Transformation):
 
 
 class DeadDataflowElimination(Transformation):
-    """Remove writes to transients that are never subsequently read."""
+    """Remove writes to transients that are never subsequently read, and
+    source/sink access nodes whose every edge is an empty (ordering-only)
+    memlet: such a node lies on no path between two other nodes, so it
+    orders nothing, but it keeps its container alive and allocated.
+
+    A match is a list of ``(state, access node, producers)`` removals: all
+    the ordering-only nodes of the graph at once, or one dead write."""
 
     @classmethod
     def matches(cls, sdfg, **options):
         read_names = set()
+        orderless = []
         for state in sdfg.states():
             for node in state.data_nodes():
-                if state.out_degree(node) > 0:
+                reads = state.out_degree(node) > 0
+                # a source or a sink, but not an isolated node
+                if reads != (state.in_degree(node) > 0) and all(
+                        e.memlet.is_empty() for e in
+                        (state.out_edges if reads else state.in_edges)(node)):
+                    orderless.append((state, node, []))
+                elif reads:
                     read_names.add(node.data)
+        if orderless:
+            yield orderless
         for isedge in sdfg.edges():
             read_names |= isedge.data.free_symbols
         for state in sdfg.states():
@@ -165,14 +181,14 @@ class DeadDataflowElimination(Transformation):
                 if all(isinstance(p, Tasklet) and state.entry_node_of(p) is None
                        and state.out_degree(p) == 1 and state.in_degree(p) == 0
                        for p in producers):
-                    yield (state, node, producers)
+                    yield [(state, node, producers)]
 
     @classmethod
     def apply_match(cls, sdfg, match, **options) -> None:
-        state, node, producers = match
-        for producer in producers:
-            state.remove_node(producer)
-        state.remove_node(node)
         from .redundant_copy import _delete_if_unused
 
-        _delete_if_unused(sdfg, node.data)
+        for state, node, producers in match:
+            for producer in producers:
+                state.remove_node(producer)
+            state.remove_node(node)
+            _delete_if_unused(sdfg, node.data)

@@ -19,6 +19,7 @@ from ...ir.memlet import Memlet
 from ...ir.nodes import AccessNode, MapEntry, MapExit, make_map_scope
 from ...symbolic import Expr, Integer, Range, Symbol, sympify
 from ..base import Transformation
+from .redundant_copy import _accessed_outside
 
 __all__ = ["LoopToMap", "parse_symbolic_str"]
 
@@ -65,16 +66,6 @@ def parse_symbolic_str(text: str, sdfg) -> Optional[Expr]:
         return None
 
     return convert(tree)
-
-
-def _accessed_in_other_states(sdfg, name: str, state) -> bool:
-    for st in sdfg.states():
-        if st is state:
-            continue
-        for node in st.data_nodes():
-            if node.data == name:
-                return True
-    return False
 
 
 class LoopToMap(Transformation):
@@ -188,7 +179,7 @@ class LoopToMap(Transformation):
         for name, write_subsets in writes.items():
             desc = sdfg.arrays[name]
             # iteration-private transients (scratch space): no dependence
-            if desc.transient and not _accessed_in_other_states(sdfg, name, body):
+            if desc.transient and not _accessed_outside(sdfg, name, body):
                 continue
             if isinstance(desc, Scalar):
                 return False  # scalar accumulation across iterations

@@ -80,6 +80,17 @@ def _delete_if_unused(sdfg, name: str) -> None:
             del sdfg.arrays[name]
 
 
+def _readers_precede_writers(state, t_nodes) -> bool:
+    """StateFusion makes later writers of ``X`` wait for the copy ``X -> T``
+    (empty ``T -> writer`` edges).  Reading ``X`` in place of ``T`` is only
+    sound when every reader of ``T`` already runs before each such writer;
+    any other reader needs the old contents, so the copy has to stay."""
+    out_edges = [e for t in t_nodes for e in state.out_edges(t)]
+    readers = [e.dst for e in out_edges if not e.memlet.is_empty()]
+    return all(e.dst in state.descendants(reader) for reader in readers
+               for e in out_edges if e.memlet.is_empty())
+
+
 class RedundantReadCopy(Transformation):
     """Eliminate ``X -> T`` copies whose transient target is only read."""
 
@@ -112,6 +123,10 @@ class RedundantReadCopy(Transformation):
                 if len(writers) != 1 or writers[0][1] is not edge.dst:
                     continue
                 if _accessed_outside(sdfg, dst_name, state):
+                    continue
+                if not _readers_precede_writers(
+                        state, [n for n in state.data_nodes()
+                                if n.data == dst_name]):
                     continue
                 yield (state, edge)
 

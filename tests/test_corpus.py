@@ -87,6 +87,81 @@ def test_rollback_census():
     assert rolled_back == {"nbody": ["fusion"]}
 
 
+#: kernel -> interpreter closures left in its auto-optimized module at the
+#: ``test`` size, all of them map scopes (ROADMAP C(iv), D(iv))
+LOWERING_CENSUS = {
+    "azimint_hist": 1, "deriche": 2, "doitgen": 1, "gramschmidt": 1,
+    "histogram": 1, "mandelbrot1": 1, "mandelbrot2": 1, "resnet": 1,
+    "softmax": 1, "stockham_fft": 1, "symm": 1, "trmm": 1,
+}
+
+
+def test_lowering_census():
+    """Which corpus kernels still run part of their body through the
+    reference interpreter, pinned: a change that grows the set fails here,
+    and one that shrinks it has to say so by editing the table."""
+    import warnings
+
+    from repro.ir.nodes import MapEntry
+    from repro.resilience import ResilienceWarning
+
+    census = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResilienceWarning)
+        for bench in ALL:
+            sdfg = auto_optimize(parsed_clone(bench), device="CPU")
+            compiled = compile_sdfg(sdfg, cache=False)
+            states = sdfg.states()
+            for state_index, node_index in compiled.closure_specs.values():
+                node = states[state_index].nodes()[node_index]
+                assert isinstance(node, MapEntry), (bench.name, node)
+            if compiled.closure_specs:
+                census[bench.name] = len(compiled.closure_specs)
+    assert census == LOWERING_CENSUS
+    assert sum(census.values()) == 13
+
+
+def _referenced_by_a_memlet(sdfg):
+    return {edge.memlet.data for state in sdfg.states()
+            for edge in state.edges() if not edge.memlet.is_empty()}
+
+
+@pytest.mark.parametrize("name", ["cholesky", "trisolv"])
+def test_no_allocation_for_unreferenced_containers(name, tmp_path):
+    """Simplify used to leave ordering-only access nodes behind, and the
+    generated loop body zero-allocated their containers on every iteration;
+    cold, disk-rehydrated and interpreter runs agree on the smaller graph."""
+    import re
+
+    from repro.cache import CacheStore, cached_compile
+    from repro.runtime.executor import run_sdfg
+
+    bench = registry.get(name)
+    store = CacheStore(directory=str(tmp_path / "cache"))
+    cold = cached_compile(parsed_clone(bench), store=store, optimize="CPU")
+    store.clear_memory()
+    warm = cached_compile(parsed_clone(bench), store=store, optimize="CPU")
+    assert not cold.from_cache and warm.from_cache
+    assert warm.source == cold.source
+
+    used = _referenced_by_a_memlet(cold.sdfg)
+    assert set(cold.sdfg.arrays) - used <= set(cold.convention.arg_names)
+    allocated = set(re.findall(r"__alloc_shaped\(\s*'(\w+)'", cold.source))
+    assert allocated <= used
+
+    results = []
+    for run in (cold, warm, lambda **kw: run_sdfg(cold.sdfg, **kw)):
+        args = bench.arguments("test")
+        run(**args)
+        results.append(args)
+    reference = bench.arguments("test")
+    bench.reference(**reference)
+    for args in results:
+        for out in bench.outputs:
+            assert np.allclose(args[out], reference[out], rtol=1e-8,
+                               atol=1e-8), (name, out)
+
+
 def test_registry_complete():
     names = registry.names()
     assert len(names) == 45

@@ -36,6 +36,25 @@ class TestConstruction:
         rng = Range.from_string("1:N, i, 0:M:4")
         assert Range.from_string(str(rng)) == rng
 
+    def test_str_rendered_once_and_shared_by_copies(self, monkeypatch):
+        import copy
+
+        from repro.symbolic import sets
+
+        rng = Range.from_string("1:N, i, 0:M:4")
+        text = str(rng)
+        assert text == "1:N, i, 0:M:4"
+
+        def no_symbolic_work(*_):
+            raise AssertionError("a rendered range was rendered again")
+
+        monkeypatch.setattr(sets, "definitely_eq", no_symbolic_work)
+        assert str(rng) is text
+        assert str(copy.deepcopy(rng)) is text      # graph clones share ranges
+        # equal ranges stay independent objects: nothing global is kept
+        with pytest.raises(AssertionError):
+            str(Range.from_string("1:N, i, 0:M:4"))
+
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             Range([(1, 2, 3, 4)])

@@ -116,6 +116,102 @@ class TestRedundantCopies:
 
         assert prog(A=np.ones(4)) == 4.0
 
+    def test_copy_kept_when_a_reader_runs_after_the_overwrite(self):
+        """``snapshot`` is read after ``A`` was overwritten: reading ``A``
+        in its place would see the new contents (the parent commit did)."""
+        @repro.program
+        def prog(A: repro.float64[N], B: repro.float64[N]):
+            snapshot = A.copy()
+            A += 100.0
+            B[:] = snapshot + A
+
+        assert "snapshot" in prog.to_sdfg().arrays
+        A = np.arange(3, dtype=np.float64)
+        B = np.zeros(3)
+        prog(A=A, B=B)
+        assert np.allclose(B, 2 * np.arange(3) + 100)
+        A = np.arange(3, dtype=np.float64)
+        compile_sdfg(auto_optimize(prog.to_sdfg().clone()))(A=A, B=B)
+        assert np.allclose(B, 2 * np.arange(3) + 100)
+
+    def test_copy_removed_when_dataflow_already_orders_the_overwrite(self):
+        """cholesky's inner update: the slices are read by the computation
+        that feeds the write, so no copy is needed — and nothing of the
+        copies may stay behind."""
+        @repro.program
+        def prog(A: repro.float64[N, N]):
+            for i in range(1, N):
+                A[i, i] -= np.dot(A[i, :i], A[i - 1, :i])
+
+        sdfg = prog.to_sdfg()
+        assert [n for n, d in sdfg.arrays.items()
+                if d.transient and not d.free_symbols] != []
+        for state in sdfg.states():
+            for node in state.data_nodes():
+                edges = state.in_edges(node) + state.out_edges(node)
+                assert not all(e.memlet.is_empty() for e in edges), \
+                    (state.label, node.data)
+        A = np.arange(16, dtype=np.float64).reshape(4, 4)
+        expected = A.copy()
+        for i in range(1, 4):
+            expected[i, i] -= np.dot(expected[i, :i], expected[i - 1, :i])
+        prog(A=A)
+        assert np.allclose(A, expected)
+
+
+class TestOrderingOnlyAccessNodes:
+    """DeadDataflowElimination also drops source/sink access nodes whose
+    every edge is an empty memlet."""
+
+    def _graph(self):
+        sdfg = SDFG("ordering")
+        sdfg.add_array("A", (N,), repro.float64)
+        for name in ("src_only", "sink_only", "between"):
+            sdfg.add_transient(name, (N,), repro.float64)
+        state = sdfg.add_state()
+        tasklet, _, exit_ = state.add_mapped_tasklet(
+            "m", {"i": "0:N"}, {}, "__out = 1.0", {"__out": Memlet("A", "i")})
+        entry = exit_.entry_node
+        state.add_nedge(state.add_access("src_only"), entry, Memlet.empty())
+        state.add_nedge(exit_, state.add_access("sink_only"), Memlet.empty())
+        # on a path between two other nodes: this one does order something
+        between = state.add_access("between")
+        second, _, exit2 = state.add_mapped_tasklet(
+            "m2", {"i": "0:N"}, {}, "__out = 2.0", {"__out": Memlet("A", "i")})
+        state.add_nedge(exit_, between, Memlet.empty())
+        state.add_nedge(between, exit2.entry_node, Memlet.empty())
+        return sdfg, state
+
+    def test_removed_with_their_containers(self):
+        from repro.transformations.dataflow import DeadDataflowElimination
+
+        sdfg, state = self._graph()
+        assert DeadDataflowElimination.apply_repeated(sdfg) == 1  # one batch
+        assert sorted(n.data for n in state.data_nodes()) == \
+            ["A", "A", "between"]
+        assert "src_only" not in sdfg.arrays
+        assert "sink_only" not in sdfg.arrays
+        assert "between" in sdfg.arrays
+        A = np.zeros(3)
+        compile_sdfg(sdfg, cache=False)(A=A)
+        assert np.allclose(A, 2.0)   # the ordering that mattered survived
+
+    def test_argument_container_is_kept(self):
+        from repro.transformations.dataflow import DeadDataflowElimination
+
+        sdfg = SDFG("ordering_arg")
+        sdfg.add_array("A", (N,), repro.float64)
+        sdfg.add_array("B", (N,), repro.float64)
+        state = sdfg.add_state()
+        _, _, exit_ = state.add_mapped_tasklet(
+            "m", {"i": "0:N"}, {}, "__out = 1.0", {"__out": Memlet("A", "i")})
+        state.add_nedge(state.add_access("B"), exit_.entry_node,
+                        Memlet.empty())
+        assert DeadDataflowElimination.apply_repeated(sdfg) == 1
+        assert [n.data for n in state.data_nodes()] == ["A"]
+        assert "B" in sdfg.arrays          # still part of the signature
+        compile_sdfg(sdfg, cache=False)(A=np.zeros(2), B=np.zeros(2))
+
 
 class TestLoopToMap:
     def test_parallel_loop_converted(self):
