@@ -22,10 +22,7 @@ DEVICES = ["CPU", "GPU", "FPGA"]
 
 def compile_benchmark(bench, device):
     start = time.perf_counter()
-    if bench.program._annotation_descs() is None:
-        sdfg = bench.program.to_sdfg(**bench.arguments("test")).clone()
-    else:
-        sdfg = bench.program.to_sdfg().clone()
+    sdfg = bench.program.to_sdfg(**bench.arguments("test")).clone()
     auto_optimize(sdfg, device=device)
     compile_sdfg(sdfg, device=device)
     return time.perf_counter() - start

@@ -30,10 +30,7 @@ WALLCLOCK_SUBSET = ["gemm", "k2mm", "jacobi_1d", "jacobi_2d", "heat_3d",
 
 def modeled_times(bench, size):
     """Framework-profile times from measured IR quantities."""
-    if bench.program._annotation_descs() is None:
-        sdfg = bench.program.to_sdfg(**bench.arguments(size)).clone()
-    else:
-        sdfg = bench.program.to_sdfg().clone()
+    sdfg = bench.program.to_sdfg(**bench.arguments(size)).clone()
     opt = sdfg.clone()
     auto_optimize(opt, device="CPU")
     base_c = compile_sdfg(sdfg)
@@ -79,10 +76,7 @@ def test_fig7_modeled_speedups(benchmark):
 def test_fig7_wallclock(benchmark, name):
     bench = registry.get(name)
     size = size_for(name, "test" if size_class() == "test" else "small")
-    if bench.program._annotation_descs() is None:
-        sdfg = bench.program.to_sdfg(**bench.arguments(size)).clone()
-    else:
-        sdfg = bench.program.to_sdfg().clone()
+    sdfg = bench.program.to_sdfg(**bench.arguments(size)).clone()
     auto_optimize(sdfg, device="CPU")
     compiled = compile_sdfg(sdfg)
 

@@ -20,10 +20,7 @@ from conftest import run_once, size_class, size_for
 
 
 def gpu_times(bench, size):
-    if bench.program._annotation_descs() is None:
-        base = bench.program.to_sdfg(**bench.arguments(size)).clone()
-    else:
-        base = bench.program.to_sdfg().clone()
+    base = bench.program.to_sdfg(**bench.arguments(size)).clone()
     opt = base.clone()
     auto_optimize(opt, device="GPU")
     base_c = compile_sdfg(base)

@@ -21,10 +21,7 @@ STENCILS = {"jacobi_1d", "jacobi_2d", "heat_3d", "fdtd_2d", "hdiff"}
 
 
 def fpga_times(bench, size):
-    if bench.program._annotation_descs() is None:
-        sdfg = bench.program.to_sdfg(**bench.arguments(size)).clone()
-    else:
-        sdfg = bench.program.to_sdfg().clone()
+    sdfg = bench.program.to_sdfg(**bench.arguments(size)).clone()
     auto_optimize(sdfg, device="FPGA")
     compiled = compile_sdfg(sdfg, device="FPGA")
     compiled(**bench.arguments(size))

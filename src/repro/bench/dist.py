@@ -2,12 +2,17 @@
 
 Runs the comm-optimizer corpus (jacobi / pgemm / pgemv) on 4 simulated
 ranks, eager and optimized, and records per-kernel communication volume,
-message counts, wait time, and modeled wall time under schema
-``repro-bench-dist/1``::
+message counts, wait time, modeled wall time and the netmodel-predicted
+benefit of each optimization under schema ``repro-bench-dist/1``; the
+printed table is the planned-vs-eager comm report::
 
     python -m repro.bench.dist                                # measure
     python -m repro.bench.dist --check benchmarks/BENCH_dist_baseline.json
     python -m repro.bench.dist --update-baseline              # refresh
+
+``messages`` is the simulator's own count
+(``DistributedResult.comm_stats["messages"]``), the definition the
+``benchmarks/e2e`` ``simmpi.messages`` metric reads.
 
 The ``--check`` gate fails (exit 1) when any kernel's **optimized** comm
 volume regresses more than ``--tolerance`` (default 10%) over the
@@ -51,6 +56,8 @@ def _side(report, result) -> Dict[str, Any]:
         "modeled_time_s": result.modeled_time,
         "applied": dict(report.applied),
         "commopt": {k: v for k, v in report.commopt.items() if v},
+        "predicted_overlap_s": report.predicted_overlap_s,
+        "predicted_dedup_s": report.predicted_dedup_s,
     }
 
 
@@ -138,12 +145,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    print(f"planned vs. eager comm ({result['ranks']} simulated ranks)")
+    print(f"{'kernel':<8} {'':<9} {'bytes':>8} {'msgs':>5} {'wait':>10} "
+          f"{'halo wait':>10}  predicted benefit")
     for name, k in result["kernels"].items():
-        print(f"{name:<8} eager {k['eager']['comm_bytes']:>8} B "
-              f"{k['eager']['halo_wait_s'] * 1e6:>8.1f}us halo wait | "
-              f"optimized {k['optimized']['comm_bytes']:>8} B "
-              f"{k['optimized']['halo_wait_s'] * 1e6:>8.1f}us | "
-              f"saved {k['comm_bytes_saved_pct']:.1f}% "
+        for side in ("eager", "optimized"):
+            s = k[side]
+            print(f"{name if side == 'eager' else '':<8} {side:<9} "
+                  f"{s['comm_bytes']:>8} {s['messages']:>5} "
+                  f"{s['wait_s'] * 1e6:>8.1f}us "
+                  f"{s['halo_wait_s'] * 1e6:>8.1f}us  "
+                  f"overlap {s['predicted_overlap_s'] * 1e6:.1f}us, "
+                  f"dedup {s['predicted_dedup_s'] * 1e6:.1f}us")
+        applied = ", ".join(f"{p}={n}" for p, n
+                            in k["optimized"]["applied"].items() if n)
+        print(f"{'':<8} {applied or 'nothing applied'}; "
+              f"saved {k['comm_bytes_saved_pct']:.1f}%; "
               f"bitwise={'ok' if k['bitwise_equal'] else 'DIVERGED'}")
     print(f"wrote {args.output}")
 

@@ -15,7 +15,8 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Benchmark", "register", "get", "all_benchmarks", "names"]
+__all__ = ["Benchmark", "register", "get", "all_benchmarks", "names",
+           "SWEEP_CORPUS"]
 
 _REGISTRY: Dict[str, "Benchmark"] = {}
 
@@ -32,6 +33,11 @@ APP_MODULES = [
     "hdiff", "histogram", "mandelbrot1", "mandelbrot2", "nbody", "resnet",
     "softmax", "spmv", "stockham_fft", "vadv",
 ]
+
+#: the corpus the governor and sanitizer sweeps run: small ``test``-size
+#: instances that exercise maps, WCR, dynamic memlets and interstate loops
+SWEEP_CORPUS = ("gemm", "jacobi_1d", "atax", "bicg", "mvt", "gesummv",
+                "softmax", "histogram")
 
 
 @dataclass

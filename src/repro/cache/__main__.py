@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.cache warm --size test --benchmarks ci --jobs 4
+    python -m repro.cache warm --size test --benchmarks gemm,atax --jobs 4
     python -m repro.cache stats [--json]
     python -m repro.cache clear
     python -m repro.cache verify [--evict]
@@ -24,13 +24,8 @@ from . import get_store, warm_corpus
 
 
 def _select_names(spec: str) -> Optional[List[str]]:
-    from ..bench import registry
-    from ..bench.profile import CI_SUBSET
-
     if not spec or spec == "all":
-        return registry.names()
-    if spec == "ci":
-        return list(CI_SUBSET)
+        return None                     # warm_corpus: the whole corpus
     return [name.strip() for name in spec.split(",") if name.strip()]
 
 
@@ -44,7 +39,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     warm.add_argument("--size", default="test",
                       choices=["test", "small", "large"])
     warm.add_argument("--benchmarks", default="all",
-                      help="comma-separated subset, 'ci', or 'all'")
+                      help="comma-separated subset, or 'all'")
     warm.add_argument("--jobs", type=int, default=0,
                       help="process-pool width (default: cpu count)")
     warm.add_argument("--device", default="CPU")

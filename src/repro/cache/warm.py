@@ -1,8 +1,8 @@
 """Parallel corpus warm-up: pre-populate the compilation cache.
 
 Each benchmark is parsed and compiled twice — once as-is and once through
-the ``auto_optimize`` pipeline — so every consumer of the corpus (the bench
-harness, the sanitizer sweep, plain ``@repro.program`` calls) starts warm.
+the ``auto_optimize`` pipeline — so every consumer of the corpus (the
+sanitizer sweep, plain ``@repro.program`` calls) starts warm.
 Workers run in a ``concurrent.futures`` process pool; the on-disk store's
 atomic-rename writes make concurrent workers safe, and each worker's
 hit/miss counters are folded into the returned summary.
@@ -35,10 +35,7 @@ def warm_one(name: str, size: str = "test", device: str = "CPU",
     start = time.perf_counter()
     try:
         bench = registry.get(name)
-        if bench.program._annotation_descs() is None:
-            sdfg = bench.program.to_sdfg(**bench.arguments(size))
-        else:
-            sdfg = bench.program.to_sdfg()
+        sdfg = bench.program.to_sdfg(**bench.arguments(size))
         cached_compile(sdfg, device=device)
         cached_compile(sdfg, device=device, optimize=device)
     except Exception as exc:

@@ -12,8 +12,8 @@ stay eager) and all gated on :mod:`repro.config` keys:
   envelope coalescing, collective memo, halo-extent validation.
 
 ``optimize_comm(sdfg)`` applies the enabled passes in place and returns
-a per-pass application count.  ``python -m repro.distributed.commopt
-report`` prints planned-vs-eager comm volume for the kernel corpus.
+a per-pass application count.  ``python -m repro.bench.dist`` prints
+planned-vs-eager comm volume for the kernel corpus.
 """
 
 from __future__ import annotations

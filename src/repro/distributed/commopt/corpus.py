@@ -1,15 +1,16 @@
-"""The comm-optimizer kernel corpus: jacobi / pgemm / pgemv.
+"""The distributed kernel corpus: jacobi / pgemm / pgemv.
 
-Mirrors the resilience chaos corpus (:mod:`repro.resilience.chaos`) but
-with an **iterated** distributed GEMM — ``for it in range(reps)`` around
-``C = alpha*A@B + beta*C`` — because that is the shape where collective
-dedup pays: the distribution pipeline re-scatters the loop-invariant
-``A`` and ``B`` blocks every iteration, and the optimizer proves they are
-never written and memoizes the scatter.
+The one definition of the distributed programs: the comm-volume gate
+(:mod:`repro.bench.dist`), the chaos sweep (:mod:`repro.resilience.chaos`),
+``benchmarks/e2e`` and the tests all run these.  The GEMM is **iterated**
+— ``for it in range(reps)`` around ``C = alpha*A@B + beta*C`` — because
+that is the shape where collective dedup pays: the distribution pipeline
+re-scatters the loop-invariant ``A`` and ``B`` blocks every iteration,
+and the optimizer proves they are never written and memoizes the scatter.
 
 Each kernel is a :class:`CorpusKernel` carrying an SDFG builder, seeded
-input construction, and the run keyword set, so the bench harness, the
-report CLI, and the tests all execute byte-identical configurations.
+input construction, and the run keyword set, so every consumer executes
+byte-identical configurations.
 """
 
 # NOTE: no `from __future__ import annotations` — it would stringify the

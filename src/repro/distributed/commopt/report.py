@@ -10,8 +10,7 @@ prediction of what the optimizations are worth:
 * ``predicted_dedup_s`` — wire time of the bytes the dedup memo elided.
 
 Attached to :class:`~repro.distributed.runner.DistributedResult` as
-``comm_report`` and printed by ``python -m repro.distributed.commopt
-report``.
+``comm_report``; ``python -m repro.bench.dist`` prints it planned vs. eager.
 """
 
 from __future__ import annotations

@@ -23,12 +23,7 @@ from .admission import MemoryBudgetExceeded
 from .breaker import CircuitOpenError, registry, reset_breakers
 from .budget import Budget, ExecutionTimeout, GovernorError
 
-__all__ = ["DEFAULT_CORPUS", "governor_sweep"]
-
-#: CI subset of the perf gate plus application-domain programs — small
-#: ``test``-size instances that exercise maps, WCR, and interstate loops
-DEFAULT_CORPUS = ["gemm", "jacobi_1d", "atax", "bicg", "mvt",
-                  "gesummv", "softmax", "histogram"]
+__all__ = ["governor_sweep"]
 
 #: budgets per trial: generous (must complete), deadline-starved (must
 #: raise ExecutionTimeout), memory-starved (must raise MemoryBudgetExceeded)
@@ -106,7 +101,7 @@ def governor_sweep(case_names: Optional[List[str]] = None,
     """Run the sweep; returns (and optionally writes) the report dict."""
     from ..bench import registry as bench_registry
 
-    names = case_names or DEFAULT_CORPUS
+    names = list(case_names or bench_registry.SWEEP_CORPUS)
     programs: List[Dict[str, Any]] = []
     # a high threshold keeps the deliberate per-trial failures from opening
     # circuits mid-sweep; the breaker demo below overrides it back down

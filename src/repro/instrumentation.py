@@ -22,15 +22,15 @@ module is compiled with ``instrument=True``.  Activation is either explicit
 (``@repro.program(instrument="timers")``), or global (configuration key
 ``instrument.mode``).
 
-Everything measured lands in a :class:`ProfileReport` dataclass that
-serializes to/from JSON; ``repro.bench.profile`` builds the ``BENCH_cpu.json``
-perf-trajectory artifact on top of it.
+Everything measured lands in a :class:`ProfileReport` dataclass
+(``to_dict`` gives its ``repro-profile/1`` JSON form).  Corpus-wide
+numbers — compile time, speedup over NumPy, per-layer splits — come from
+``benchmarks/e2e/run.py``, not from this module.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -55,6 +55,12 @@ CATEGORIES = ("state", "map", "library", "pass", "phase", "cache", "attempt",
 #: the active collector; ``None`` means instrumentation is off (the single
 #: check every hot path performs)
 _ACTIVE: Optional["ProfileCollector"] = None
+
+#: every live :func:`profile` activation, oldest first; ``_ACTIVE`` is the
+#: last one.  Blocks in different threads may exit out of order, so each
+#: exit removes its own entry instead of restoring a saved predecessor.
+_LIVE: List["ProfileCollector"] = []
+_LIVE_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +92,6 @@ class RegionStat:
             d["min_s"] = 0.0
         return d
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "RegionStat":
-        return cls(**d)
-
 
 @dataclass
 class AttemptRecord:
@@ -102,10 +104,6 @@ class AttemptRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "AttemptRecord":
-        return cls(**d)
 
 
 @dataclass
@@ -141,33 +139,6 @@ class ProfileReport:
             "attempts": [a.to_dict() for a in self.attempts],
             "meta": self.meta,
         }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ProfileReport":
-        return cls(
-            program=d.get("program", ""),
-            mode=d.get("mode", "timers"),
-            regions=[RegionStat.from_dict(r) for r in d.get("regions", [])],
-            attempts=[AttemptRecord.from_dict(a)
-                      for a in d.get("attempts", [])],
-            meta=dict(d.get("meta", {})),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProfileReport":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "ProfileReport":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
     def summary(self) -> str:
         lines = [f"profile of {self.program or '<anonymous>'} "
@@ -268,8 +239,10 @@ def profile(program: str = "", mode: str = "timers",
             ) -> Iterator[ProfileCollector]:
     """Activate instrumentation for the dynamic extent of the block.
 
-    Nested activations stack: the innermost collector receives the events,
-    and the previous one is restored on exit.
+    Nested activations stack: the innermost live collector receives the
+    events.  On exit a block withdraws only its own collector, so blocks in
+    different threads that overlap may exit in any order and
+    instrumentation is off again once all of them have.
 
     >>> with profile("my_program") as prof:
     ...     my_program(A, B)
@@ -278,12 +251,16 @@ def profile(program: str = "", mode: str = "timers",
     global _ACTIVE
     coll = collector if collector is not None else ProfileCollector(
         program=program, mode=mode)
-    saved = _ACTIVE
-    _ACTIVE = coll
+    with _LIVE_LOCK:
+        _LIVE.append(coll)
+        _ACTIVE = coll
     try:
         yield coll
     finally:
-        _ACTIVE = saved
+        with _LIVE_LOCK:
+            # the newest occurrence: a collector may be activated twice
+            del _LIVE[max(i for i, c in enumerate(_LIVE) if c is coll)]
+            _ACTIVE = _LIVE[-1] if _LIVE else None
 
 
 @contextlib.contextmanager

@@ -1,9 +1,10 @@
 """Chaos sweep: randomized rank-crash plans over the distributed corpus.
 
-``python -m repro.resilience chaos`` runs each corpus program (the paper's
-explicit jacobi_2d, the transformed pgemm pipeline, and the pgemv-based
-atax) once fault-free, then under seeded single-crash
-:class:`~repro.simmpi.netmodel.FaultPlan`\\ s with checkpointing enabled.
+``python -m repro.resilience chaos`` runs each comm-optimizer corpus kernel
+(:mod:`repro.distributed.commopt.corpus`: the paper's explicit jacobi_2d,
+the iterated pgemm pipeline, and the pgemv-based atax) once fault-free,
+then under seeded single-crash :class:`~repro.simmpi.netmodel.FaultPlan`\\ s
+with checkpointing enabled.
 Every trial must (a) recover — the supervisor replays from the last
 consistent checkpoint and the run completes — and (b) produce outputs
 tolerance-equal to the fault-free run: replay from a consistent cut is
@@ -14,18 +15,17 @@ sweep exits non-zero if any recoverable plan goes unrecovered or any
 recovered run diverges.
 """
 
-# NOTE: no `from __future__ import annotations` here — it would stringify
-# the @repro.program parameter annotations before the frontend reads them.
+from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-import repro
-import repro.comm
+from ..config import Config
+from ..distributed.commopt.corpus import KERNELS, run_kernel
 from ..simmpi.netmodel import FaultPlan
 
 __all__ = ["ChaosCase", "CASES", "chaos_sweep", "SCHEMA"]
@@ -36,137 +36,25 @@ SCHEMA = "repro-chaos/1"
 # so anything beyond accumulated float noise is a real divergence
 RTOL, ATOL = 1e-10, 1e-12
 
-# -- corpus programs ---------------------------------------------------------
-
-_N = repro.symbol("N")
-_lNx = repro.symbol("lNx")
-_lNy = repro.symbol("lNy")
-_noff = repro.symbol("noff")
-_soff = repro.symbol("soff")
-_woff = repro.symbol("woff")
-_eoff = repro.symbol("eoff")
-_NI = repro.symbol("NI")
-_NJ = repro.symbol("NJ")
-_NK = repro.symbol("NK")
-_M = repro.symbol("M")
-_Nv = repro.symbol("Nv")
-
-
-@repro.program
-def _j2d_chaos(TSTEPS: repro.int32, A: repro.float64[_N, _N],
-               B: repro.float64[_N, _N]):
-    lA = np.zeros((_lNx + 2, _lNy + 2))
-    lB = np.zeros((_lNx + 2, _lNy + 2))
-    lA[1:-1, 1:-1] = repro.comm.BlockScatter(A, (_lNx, _lNy))
-    lB[1:-1, 1:-1] = repro.comm.BlockScatter(B, (_lNx, _lNy))
-    for t in range(1, TSTEPS):
-        repro.comm.HaloExchange(lA)
-        lB[1 + _noff:_lNx + 1 - _soff, 1 + _woff:_lNy + 1 - _eoff] = 0.2 * (
-            lA[1 + _noff:_lNx + 1 - _soff, 1 + _woff:_lNy + 1 - _eoff]
-            + lA[1 + _noff:_lNx + 1 - _soff, _woff:_lNy - _eoff]
-            + lA[1 + _noff:_lNx + 1 - _soff, 2 + _woff:_lNy + 2 - _eoff]
-            + lA[2 + _noff:_lNx + 2 - _soff, 1 + _woff:_lNy + 1 - _eoff]
-            + lA[_noff:_lNx - _soff, 1 + _woff:_lNy + 1 - _eoff])
-        repro.comm.HaloExchange(lB)
-        lA[1 + _noff:_lNx + 1 - _soff, 1 + _woff:_lNy + 1 - _eoff] = 0.2 * (
-            lB[1 + _noff:_lNx + 1 - _soff, 1 + _woff:_lNy + 1 - _eoff]
-            + lB[1 + _noff:_lNx + 1 - _soff, _woff:_lNy - _eoff]
-            + lB[1 + _noff:_lNx + 1 - _soff, 2 + _woff:_lNy + 2 - _eoff]
-            + lB[2 + _noff:_lNx + 2 - _soff, 1 + _woff:_lNy + 1 - _eoff]
-            + lB[_noff:_lNx - _soff, 1 + _woff:_lNy + 1 - _eoff])
-    A[:] = repro.comm.BlockGather(lA[1:-1, 1:-1], (_N, _N))
-    B[:] = repro.comm.BlockGather(lB[1:-1, 1:-1], (_N, _N))
-
-
-@repro.program
-def _gemm_chaos(alpha: repro.float64, beta: repro.float64,
-                C: repro.float64[_NI, _NJ], A: repro.float64[_NI, _NK],
-                B: repro.float64[_NK, _NJ]):
-    C[:] = alpha * A @ B + beta * C
-
-
-@repro.program
-def _atax_chaos(A: repro.float64[_M, _Nv], x: repro.float64[_Nv],
-                y: repro.float64[_Nv]):
-    y[:] = (A @ x) @ A
-
-
-def _jacobi_offsets(rank, grid):
-    nb = grid.neighbors(rank)
-    return {"noff": 1 if nb["north"] < 0 else 0,
-            "soff": 1 if nb["south"] < 0 else 0,
-            "woff": 1 if nb["west"] < 0 else 0,
-            "eoff": 1 if nb["east"] < 0 else 0}
-
-
-def _run_jacobi(fault_plan: Optional[FaultPlan], ckpt: Dict):
-    from ..distributed import run_distributed
-
-    n, tsteps = 12, 5
-    rng = np.random.default_rng(0)
-    A, B = rng.random((n, n)), rng.random((n, n))
-    result = run_distributed(
-        _j2d_chaos, 4, TSTEPS=tsteps, A=A, B=B, lNx=n // 2, lNy=n // 2,
-        rank_args=_jacobi_offsets, fault_plan=fault_plan, **ckpt)
-    return {"A": A, "B": B}, result
-
-
-def _pgemm_sdfg():
-    from ..transformations.distributed import (DistributeElementWiseArrayOp,
-                                               RemoveRedundantComm)
-
-    sdfg = _gemm_chaos.to_sdfg().clone()
-    sdfg.apply(DistributeElementWiseArrayOp)
-    sdfg.expand_library_nodes(implementation="PBLAS")
-    sdfg.apply(RemoveRedundantComm)
-    return sdfg
-
-
-def _run_pgemm(fault_plan: Optional[FaultPlan], ckpt: Dict):
-    from ..distributed import run_distributed
-
-    rng = np.random.default_rng(5)
-    M, K, N = 12, 8, 16
-    A, B, C = rng.random((M, K)), rng.random((K, N)), rng.random((M, N))
-    result = run_distributed(_pgemm_sdfg(), 4, alpha=1.5, beta=0.5,
-                             C=C, A=A, B=B, fault_plan=fault_plan, **ckpt)
-    return {"C": C}, result
-
-
-def _pgemv_sdfg():
-    from ..transformations.distributed import DeduplicateComm
-
-    sdfg = _atax_chaos.to_sdfg().clone()
-    sdfg.expand_library_nodes(implementation="PBLAS")
-    sdfg.apply(DeduplicateComm)
-    return sdfg
-
-
-def _run_pgemv(fault_plan: Optional[FaultPlan], ckpt: Dict):
-    from ..distributed import run_distributed
-
-    rng = np.random.default_rng(7)
-    A, x, y = rng.random((12, 8)), rng.random(8), np.zeros(8)
-    result = run_distributed(_pgemv_sdfg(), 4, A=A, x=x, y=y,
-                             fault_plan=fault_plan, **ckpt)
-    return {"y": y}, result
-
 
 @dataclass
 class ChaosCase:
-    """One corpus entry: runs on fresh inputs, returns output arrays +
-    the :class:`~repro.distributed.runner.DistributedResult`."""
+    """One corpus kernel on *size* simulated ranks."""
 
     name: str
-    size: int
-    run: Callable[[Optional[FaultPlan], Dict], Tuple[Dict, object]]
+    size: int = 4
+
+    def run(self, fault_plan: Optional[FaultPlan], ckpt: Dict):
+        """Run on fresh inputs; returns output arrays + the
+        :class:`~repro.distributed.runner.DistributedResult`.  The ambient
+        comm-optimizer setting decides whether the run is optimized."""
+        return run_kernel(self.name, size=self.size, seed=0,
+                          fault_plan=fault_plan,
+                          optimize=bool(Config.get("commopt.enabled")),
+                          **ckpt)
 
 
-CASES: List[ChaosCase] = [
-    ChaosCase("jacobi", 4, _run_jacobi),
-    ChaosCase("pgemm", 4, _run_pgemm),
-    ChaosCase("pgemv", 4, _run_pgemv),
-]
+CASES: List[ChaosCase] = [ChaosCase(name) for name in KERNELS]
 
 
 # -- the sweep ---------------------------------------------------------------

@@ -15,9 +15,9 @@ For each selected benchmark the sweep reports
 * the differential-oracle verdict across execution tiers, including the
   bisected culprit pass on an optimization-induced mismatch.
 
-The verdict JSON (schema ``repro-sanitize/1``) is uploaded by CI next to
-``BENCH_cpu.json``.  Exit status is nonzero when any provable race,
-provable out-of-bounds access, or oracle mismatch/error is found.
+The verdict JSON (schema ``repro-sanitize/1``) is uploaded by CI.  Exit
+status is nonzero when any provable race, provable out-of-bounds access,
+or oracle mismatch/error is found.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import sys
 from typing import Dict, List
 
 from ..bench import registry
-from ..bench.profile import CI_SUBSET
 from . import bounds as bounds_mod
 from . import races as races_mod
 from .oracle import run_oracle
@@ -36,24 +35,13 @@ from .oracle import run_oracle
 SCHEMA = "repro-sanitize/1"
 DEFAULT_OUTPUT = "SANITIZER.json"
 
-#: the example corpus: the CI perf subset plus WCR/dynamic-memlet exercisers
-EXAMPLE_CORPUS = CI_SUBSET + ["histogram", "softmax", "gesummv"]
-
 
 def _select(corpus: str) -> List[str]:
     if corpus == "examples":
-        return list(EXAMPLE_CORPUS)
-    if corpus == "ci":
-        return list(CI_SUBSET)
+        return list(registry.SWEEP_CORPUS)
     if corpus == "all":
         return registry.names()
     return [name.strip() for name in corpus.split(",") if name.strip()]
-
-
-def _sdfg_for(bench, size: str):
-    if bench.program._annotation_descs() is None:
-        return bench.program.to_sdfg(**bench.arguments(size)).clone()
-    return bench.program.to_sdfg().clone()
 
 
 def _race_summary(verdicts) -> Dict[str, object]:
@@ -80,7 +68,8 @@ def _bounds_summary(verdicts) -> Dict[str, object]:
 
 def sweep_benchmark(bench, size: str, seed: int, device: str) -> Dict[str, object]:
     entry: Dict[str, object] = {}
-    base = _sdfg_for(bench, size)
+    inputs = bench.arguments(size)
+    base = bench.program.to_sdfg(**inputs).clone()
     base.simplify()
 
     entry["races"] = _race_summary(races_mod.check_races(base))
@@ -95,7 +84,7 @@ def sweep_benchmark(bench, size: str, seed: int, device: str) -> Dict[str, objec
     except Exception as exc:
         entry["races_native"] = {"error": str(exc)}
 
-    oracle = run_oracle(bench.program, inputs=bench.arguments(size),
+    oracle = run_oracle(bench.program, inputs=inputs,
                         seed=seed, device=device, outputs=bench.outputs,
                         reference=bench.reference, name=bench.name)
     entry["oracle"] = oracle.to_dict()
@@ -107,7 +96,7 @@ def main(argv=None) -> int:
         prog="python -m repro.sanitizer",
         description="static + differential sanitizer sweep over the corpus")
     parser.add_argument("--corpus", default="examples",
-                        help="examples | ci | all | comma-separated names")
+                        help="examples | all | comma-separated names")
     parser.add_argument("--size", default="test",
                         help="benchmark size class (default: test)")
     parser.add_argument("--seed", type=int, default=0,

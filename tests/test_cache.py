@@ -252,78 +252,32 @@ class TestWarmStartEndToEnd:
 
 
 class TestPerfGate:
-    BASE = {
-        "benchmarks": {"gemm": {"compile_cold_s": 0.1},
-                       "atax": {"compile_cold_s": 0.1}},
-        "failures": {},
-        "geomean_speedup": 1.0,
-        "geomean_interpreter_speedup": 0.01,
-    }
+    """The one committed perf baseline: the comm-volume gate's
+    (``python -m repro.bench.dist --check``)."""
 
-    def test_gate_passes_on_equal_result(self):
-        from repro.bench.profile import check_against_baseline
-
-        assert check_against_baseline(dict(self.BASE), dict(self.BASE)) == []
-
-    def test_gate_fails_on_speedup_regression(self):
-        from repro.bench.profile import check_against_baseline
-
-        slow = json.loads(json.dumps(self.BASE))
-        slow["geomean_speedup"] = 0.5
-        problems = check_against_baseline(slow, self.BASE, tolerance=0.25)
-        assert any("geomean_speedup regressed" in p for p in problems)
-
-    def test_gate_tolerates_small_drop(self):
-        from repro.bench.profile import check_against_baseline
-
-        near = json.loads(json.dumps(self.BASE))
-        near["geomean_speedup"] = 0.9
-        assert check_against_baseline(near, self.BASE, tolerance=0.25) == []
-
-    def test_gate_fails_on_missing_benchmark(self):
-        from repro.bench.profile import check_against_baseline
-
-        partial = json.loads(json.dumps(self.BASE))
-        del partial["benchmarks"]["atax"]
-        partial["failures"] = {"atax": "RuntimeError: boom"}
-        problems = check_against_baseline(partial, self.BASE)
-        assert any("atax" in p and "absent" in p for p in problems)
-
-    def test_gate_fails_on_compile_time_blowup(self):
-        from repro.bench.profile import check_against_baseline
-
-        slow = json.loads(json.dumps(self.BASE))
-        for entry in slow["benchmarks"].values():
-            entry["compile_cold_s"] = 10.0
-        problems = check_against_baseline(slow, self.BASE,
-                                          compile_tolerance=1.0)
-        assert any("compile-time total regressed" in p for p in problems)
+    BASELINE = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", "BENCH_dist_baseline.json")
 
     def test_committed_baseline_is_valid(self):
         """The baseline the CI gate compares against must stay loadable and
         self-consistent (a result equals itself)."""
-        from repro.bench.profile import check_against_baseline
+        from repro.bench import dist
 
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "benchmarks", "BENCH_baseline.json")
-        with open(path) as fh:
+        with open(self.BASELINE) as fh:
             baseline = json.load(fh)
-        assert baseline["benchmarks"]
-        assert check_against_baseline(baseline, baseline) == []
+        assert baseline["kernels"]
+        assert dist.check(baseline, baseline) == []
 
     def test_committed_baselines_carry_their_harness_schema(self):
         """Artifact drift is a bug class: every committed baseline must be
         on the schema of the harness whose ``--check`` reads it."""
         import glob
 
-        from repro.bench import dist, profile
+        from repro.bench import dist
 
-        harness = {"BENCH_baseline.json": profile.SCHEMA,
-                   "BENCH_dist_baseline.json": dist.SCHEMA}
-        root = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
-        paths = sorted(glob.glob(os.path.join(root, "BENCH_*baseline*.json")))
-        assert {os.path.basename(p) for p in paths} == set(harness)
-        for path in paths:
-            with open(path) as fh:
-                assert json.load(fh)["schema"] == \
-                    harness[os.path.basename(path)], path
+        root = os.path.dirname(self.BASELINE)
+        paths = glob.glob(os.path.join(root, "BENCH_*baseline*.json"))
+        assert [os.path.basename(p) for p in paths] == \
+            ["BENCH_dist_baseline.json"]
+        with open(self.BASELINE) as fh:
+            assert json.load(fh)["schema"] == dist.SCHEMA

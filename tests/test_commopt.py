@@ -4,7 +4,8 @@ Covers the overlap and dedup passes end to end on the comm corpus
 (eager-vs-optimized bitwise equality, with and without injected faults),
 the measured overlap benefit on jacobi, the >=20% pgemm volume saving,
 the write-set negative case that must block dedup, the halo-extent
-validation fix, envelope coalescing, and the CommReport schema.
+validation fix, envelope coalescing, the CommReport schema, and the
+fields the comm bench (``python -m repro.bench.dist``) records per side.
 """
 
 import numpy as np
@@ -200,3 +201,23 @@ class TestCommReport:
         assert eres.comm_report.predicted_overlap_s > 0.0
         assert not eres.comm_report.optimized
         assert ores.comm_report.optimized
+
+
+class TestBenchDist:
+    def test_sides_carry_simulator_messages_and_predictions(self):
+        # the comm bench is the one planned-vs-eager table: its message
+        # count is the simulator's, and it keeps the netmodel predictions
+        from repro.bench import dist
+
+        result = dist.measure(ranks=RANKS)
+        for name in KERNELS:
+            with Config.override(commopt__stencil_gflops=dist.STENCIL_GFLOPS):
+                _, eres, _, ores = _run_pair(name)
+            for side, res in (("eager", eres), ("optimized", ores)):
+                row = result["kernels"][name][side]
+                assert row["messages"] == res.comm_stats["messages"], \
+                    f"{name}/{side}"
+                assert row["predicted_overlap_s"] == pytest.approx(
+                    res.comm_report.predicted_overlap_s)
+                assert row["predicted_dedup_s"] == pytest.approx(
+                    res.comm_report.predicted_dedup_s)

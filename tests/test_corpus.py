@@ -45,10 +45,7 @@ def test_matches_reference(name):
 
 def parsed_clone(bench):
     """A private copy of the benchmark's parsed (simplified) SDFG."""
-    program = bench.program
-    if program._annotation_descs() is None:
-        return program.to_sdfg(**bench.arguments("test")).clone()
-    return program.to_sdfg().clone()
+    return bench.program.to_sdfg(**bench.arguments("test")).clone()
 
 
 @pytest.mark.parametrize("name", AUTOOPT_SUBSET)

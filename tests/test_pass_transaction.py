@@ -40,10 +40,8 @@ def _unsimplified(name):
         return triangular.to_sdfg(simplify=False).clone()
     bench = registry.get(name)
     program = repro.program(bench.program.func)
-    if program._annotation_descs() is None:
-        return program.to_sdfg(simplify=False,
-                               **bench.arguments("small")).clone()
-    return program.to_sdfg(simplify=False).clone()
+    return program.to_sdfg(simplify=False,
+                           **bench.arguments("small")).clone()
 
 
 @pytest.fixture
