@@ -350,7 +350,7 @@ class _Generator:
         return True
 
     # ------------------------------------------------------------ map scopes
-    def emit_scope(self, state, entry: MapEntry) -> None:
+    def emit_scope(self, state, entry: MapEntry, body: List[Node]) -> None:
         if self.instrument:
             # only the vectorized path gets a generated timer: the fallback
             # path runs through the interpreter, whose own map hook records
@@ -358,21 +358,23 @@ class _Generator:
             uid = self.uid()
             name = entry.map.label or ",".join(entry.map.params)
             self.emit(f"__mt{uid} = __prof_now()")
-            if self._try_vector_scope(state, entry):
+            if self._try_vector_scope(state, entry, body):
                 self.emit(f"__prof_add('map', {name!r}, "
                           f"__prof_now() - __mt{uid})")
             else:
                 self.lines.pop()  # drop the unused timer start
                 self.node_fallback(state, entry)
             return
-        if not self._try_vector_scope(state, entry):
+        if not self._try_vector_scope(state, entry, body):
             self.node_fallback(state, entry)
 
-    def _try_vector_scope(self, state, entry: MapEntry) -> bool:
+    def _try_vector_scope(self, state, entry: MapEntry,
+                          body: List[Node]) -> bool:
+        """Emit *entry*'s scope as vectorized statements; *body* is its
+        direct children in topological order (``SDFGState.scope_order``)."""
         params = list(entry.map.params)
         k = len(params)
         exit_ = entry.exit_node
-        body = [n for n in state.scope_children(entry) if n is not exit_]
         for node in body:
             if isinstance(node, Tasklet):
                 continue
@@ -511,7 +513,7 @@ class _Generator:
         local_vars: Dict[str, str] = {}    # scope transient -> value var
         wire_vars: Dict[Tuple[int, str], str] = {}
 
-        for node in self._scope_topo(state, entry, body):
+        for node in body:
             if isinstance(node, AccessNode):
                 continue
             plan = plans[id(node)]
@@ -581,14 +583,6 @@ class _Generator:
             self.emit(f"__par_map(__par_body{sid}, __b0_{sid}, __e0_{sid}, "
                       f"__s0_{sid}, ({flops}) * ({inner}), {spec}, {label!r})")
         return True
-
-    def _scope_topo(self, state, entry, body) -> List[Node]:
-        order = []
-        body_set = set(body)
-        for node in state.topological_nodes():
-            if node in body_set:
-                order.append(node)
-        return order
 
     def _view_plan(self, memlet: Memlet, params: List[str]):
         if memlet.dynamic:
@@ -743,12 +737,10 @@ class _Generator:
 
     # ------------------------------------------------------------- states
     def emit_state(self, state) -> None:
-        scope = state.scope_dict()
-        for node in state.topological_nodes():
-            if scope.get(node) is not None:
-                continue  # handled by its scope
-            if isinstance(node, MapExit):
-                continue
+        # one scope analysis per state: every map scope takes its body from
+        # the same topological order
+        order = state.scope_order()
+        for node in order.get(None, []):
             if isinstance(node, AccessNode):
                 for edge in state.in_edges(node):
                     if isinstance(edge.src, AccessNode) and not edge.memlet.is_empty():
@@ -761,7 +753,7 @@ class _Generator:
                     self.node_fallback(state, node)
                 continue
             if isinstance(node, MapEntry):
-                self.emit_scope(state, node)
+                self.emit_scope(state, node, order.get(node, []))
                 continue
             if isinstance(node, (LibraryNode, NestedSDFG)):
                 self.node_fallback(state, node)
@@ -791,16 +783,6 @@ def _containers_in_state(state) -> set:
         if not edge.memlet.is_empty():
             names.add(edge.memlet.data)
     return names
-
-
-def _build_scope_order(state):
-    scope = state.scope_dict()
-    order: Dict[Optional[MapEntry], List[Node]] = {}
-    for node in state.topological_nodes():
-        if isinstance(node, MapExit):
-            continue
-        order.setdefault(scope.get(node), []).append(node)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -928,12 +910,15 @@ def _make_node_runner(sdfg, state, node):
     """An interpreter-fallback runner executing one node of one state."""
     from ..runtime import executor as ex
 
+    orders: list = []  # the state's scope order, built on first use
+
     def runner(containers, env, _state=state, _node=node):
         symbols = {k: v for k, v in env.items()
                    if isinstance(v, (int, np.integer)) and k not in sdfg.arrays}
         ctx = ex._Context(sdfg, containers, symbols)
-        order = _build_scope_order(_state)
-        ex._execute_level(ctx, _state, [_node], dict(symbols), order)
+        if not orders:
+            orders.append(_state.scope_order())
+        ex._execute_level(ctx, _state, [_node], dict(symbols), orders[0])
 
     return runner
 

@@ -237,14 +237,16 @@ class SDFGState:
     def is_acyclic(self) -> bool:
         return nx.is_directed_acyclic_graph(self._graph)
 
-    def scope_dict(self) -> Dict[Node, Optional[MapEntry]]:
+    def scope_dict(self, order: Optional[List[Node]] = None
+                   ) -> Dict[Node, Optional[MapEntry]]:
         """Map each node to its innermost enclosing MapEntry (None = top).
 
         By convention a MapExit's scope is its own MapEntry (i.e. the exit is
-        *inside* the scope), matching DaCe.
+        *inside* the scope), matching DaCe.  *order* is a topological order
+        of the state's nodes the caller already holds.
         """
         scope: Dict[Node, Optional[MapEntry]] = {}
-        for node in self.topological_nodes():
+        for node in (self.topological_nodes() if order is None else order):
             if isinstance(node, MapExit):
                 scope[node] = node.entry_node
                 continue
@@ -261,6 +263,19 @@ class SDFGState:
             else:
                 scope[node] = scope.get(parent, None)
         return scope
+
+    def scope_order(self) -> Dict[Optional[MapEntry], List[Node]]:
+        """Each scope's direct children in one topological order, MapExits
+        left out (a scope's writes happen at its producing nodes); the top
+        level is keyed ``None``.  One topological sort for the whole state,
+        shared by both backends."""
+        topo = list(self.topological_nodes())
+        scope = self.scope_dict(topo)
+        order: Dict[Optional[MapEntry], List[Node]] = {}
+        for node in topo:
+            if not isinstance(node, MapExit):
+                order.setdefault(scope[node], []).append(node)
+        return order
 
     def scope_children(self, entry: Optional[MapEntry]) -> List[Node]:
         """All nodes whose innermost scope is *entry*."""

@@ -576,13 +576,7 @@ def execute_state(ctx: _Context, state: SDFGState) -> None:
 
 
 def _execute_state_body(ctx: _Context, state: SDFGState) -> None:
-    scope = state.scope_dict()
-    order: Dict[Optional[MapEntry], List[Node]] = {}
-    for node in state.topological_nodes():
-        holder = scope.get(node)
-        if isinstance(node, MapExit):
-            continue  # handled by its scope's writes
-        order.setdefault(holder, []).append(node)
+    order = state.scope_order()
     env = dict(ctx.symbols)
     _execute_level(ctx, state, order.get(None, []), env, order)
 
