@@ -13,6 +13,7 @@ the role of the generated .cpp file.
 from __future__ import annotations
 
 import ast
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from ..ir.nodes import (
     Tasklet,
 )
 from ..symbolic import Expr, Integer, Range, definitely_eq
+from ..runtime.parallel import configured_threads
 from .support import (Max, Min, align_axes, dim_length, make_slice,
                       store_aligned, wcr_store)
 
@@ -172,6 +174,77 @@ class _ScalarRewrite(ast.NodeTransformer):
         return node
 
 
+_BINOP_UFUNC = {
+    ast.Add: "np.add", ast.Sub: "np.subtract", ast.Mult: "np.multiply",
+    ast.Div: "np.true_divide", ast.FloorDiv: "np.floor_divide",
+    ast.Mod: "np.remainder", ast.BitAnd: "np.bitwise_and",
+    ast.BitOr: "np.bitwise_or", ast.BitXor: "np.bitwise_xor",
+    ast.LShift: "np.left_shift", ast.RShift: "np.right_shift",
+}
+_COMPARE_UFUNC = {
+    ast.Lt: "np.less", ast.LtE: "np.less_equal", ast.Gt: "np.greater",
+    ast.GtE: "np.greater_equal", ast.Eq: "np.equal", ast.NotEq: "np.not_equal",
+}
+_UNARY_UFUNC = {ast.USub: "np.negative", ast.Invert: "np.invert"}
+
+
+def _ufunc_call(expr: ast.expr) -> Optional[Tuple[str, List[ast.expr]]]:
+    """``(ufunc, operands)`` when *expr*'s outermost operation is exactly
+    one NumPy ufunc call — so it can take ``out=`` and round the same — else
+    None.  ``**`` is left out: NumPy computes ``x ** 2`` as ``square(x)``,
+    not ``power``."""
+    if isinstance(expr, ast.BinOp) and type(expr.op) in _BINOP_UFUNC:
+        return _BINOP_UFUNC[type(expr.op)], [expr.left, expr.right]
+    if isinstance(expr, ast.Compare) and len(expr.ops) == 1 \
+            and type(expr.ops[0]) in _COMPARE_UFUNC:
+        return _COMPARE_UFUNC[type(expr.ops[0])], [expr.left, expr.comparators[0]]
+    if isinstance(expr, ast.UnaryOp) and type(expr.op) in _UNARY_UFUNC:
+        return _UNARY_UFUNC[type(expr.op)], [expr.operand]
+    if isinstance(expr, ast.Call) and not expr.keywords \
+            and isinstance(expr.func, ast.Attribute) \
+            and isinstance(expr.func.value, ast.Name) \
+            and expr.func.value.id == "np":
+        ufunc = getattr(np, expr.func.attr, None)
+        if isinstance(ufunc, np.ufunc) and ufunc.nout == 1 \
+                and len(expr.args) == ufunc.nin \
+                and not any(isinstance(a, ast.Starred) for a in expr.args):
+            return f"np.{expr.func.attr}", list(expr.args)
+    return None
+
+
+def _union_axes(axes_sets) -> Optional[frozenset]:
+    """The canonical axes an element-wise result spans (None if unknown)."""
+    result: frozenset = frozenset()
+    for axes in axes_sets:
+        if axes is None:
+            return None
+        result |= axes
+    return result
+
+
+@functools.lru_cache(maxsize=4096)
+def _out_dtypes(code: str, inputs: Tuple[Tuple[str, np.dtype, bool], ...]
+                ) -> Dict[str, np.dtype]:
+    """The dtype of every name a vectorized tasklet assigns, given its
+    inputs' ``(connector, dtype, is_scalar)``: the tasklet runs once on
+    one-element samples, so NumPy's own promotion rules decide.  Names
+    whose value is not a NumPy array or scalar are left out."""
+    tree = _VectorRewrite({}).visit(ast.parse(code))
+    ast.fix_missing_locations(tree)
+    env: Dict[str, object] = {"np": np, "Min": Min, "Max": Max,
+                              "abs": abs, "min": min, "max": max}
+    for conn, dtype, scalar in inputs:
+        env[conn] = dtype.type(1) if scalar else np.ones(1, dtype)
+    try:
+        with np.errstate(all="ignore"):
+            exec(compile(tree, "<tasklet dtype>", "exec"), env)
+    except Exception:
+        return {}
+    return {name: value.dtype for name, value in env.items()
+            if isinstance(value, (np.ndarray, np.generic))
+            and name not in dict(((c, None) for c, _d, _s in inputs))}
+
+
 # ---------------------------------------------------------------------------
 # The generator
 # ---------------------------------------------------------------------------
@@ -188,6 +261,13 @@ class _Generator:
         self.closure_nodes: Dict[str, tuple] = {}
         self._uid = 0
         self._indent = 2
+        #: map scopes become chunk functions only in a multi-threaded build
+        #: (the thread count is part of the cache key)
+        self.threads = configured_threads()
+        #: (descriptor id, dimension) -> last index, for the cover test
+        self._last_index: Dict[Tuple[int, int], Expr] = {}
+        #: set by scope statements that need the iteration shape / guard
+        self._needs_guard = False
 
     def uid(self) -> int:
         self._uid += 1
@@ -197,13 +277,38 @@ class _Generator:
         self.lines.append("    " * self._indent + text)
 
     # ------------------------------------------------------------ helpers
+    def covers(self, desc, dim: int, begin, end, step) -> bool:
+        """Whether ``begin:end:step`` spans dimension *dim* of *desc* whole:
+        begin 0, step 1, end = that dimension's shape − 1, compared
+        structurally (no simplification)."""
+        if begin != 0 or step != 1:
+            return False
+        key = (id(desc), dim)
+        last = self._last_index.get(key)
+        if last is None:
+            last = self._last_index[key] = desc.shape[dim] - 1
+        return end == last
+
+    def whole(self, subset: Range, desc) -> bool:
+        """Whether *subset* covers every dimension of *desc*."""
+        return len(subset.dims) == len(desc.shape) and all(
+            self.covers(desc, d, *dim) for d, dim in enumerate(subset.dims))
+
     def subset_slices_code(self, subset: Range, desc) -> str:
-        """Python tuple-of-slices code for a symbolic subset."""
+        """Python tuple-of-slices code for a symbolic subset; a subset that
+        covers its container is ``...`` and a covered dimension
+        ``slice(None)`` (sanitized builds keep explicit slices for the
+        bounds guards)."""
         if isinstance(desc, Scalar):
             return "(slice(0, 1, 1),)"
+        if not self.sanitize and self.whole(subset, desc):
+            return "..."
         dims = []
-        for begin, end, step in subset.dims:
-            if all(isinstance(x, Integer) for x in (begin, end, step)):
+        for d, (begin, end, step) in enumerate(subset.dims):
+            if not self.sanitize and d < len(desc.shape) \
+                    and self.covers(desc, d, begin, end, step):
+                dims.append("slice(None)")
+            elif all(isinstance(x, Integer) for x in (begin, end, step)):
                 # constant dims: bake the slice (make_slice handles empty
                 # ranges and descending steps; a naive `end + 1` stop is
                 # wrong for both)
@@ -248,7 +353,7 @@ class _Generator:
         if memlet.subset.is_point() is True and not memlet.dynamic:
             idx = ", ".join(f"({b})" for b, _e, _s in memlet.subset.dims)
             return f"{memlet.data}[{idx}]"
-        if memlet.subset == Range.from_shape(desc.shape) and not memlet.squeeze:
+        if not memlet.squeeze and self.whole(memlet.subset, desc):
             return memlet.data
         view = f"{memlet.data}[{self.subset_slices_code(memlet.subset, desc)}]"
         if memlet.squeeze:
@@ -262,7 +367,7 @@ class _Generator:
         elif memlet.subset.is_point() is True and not memlet.dynamic:
             idx = ", ".join(f"({b})" for b, _e, _s in memlet.subset.dims)
             target = f"{memlet.data}[{idx}]"
-        elif memlet.subset == Range.from_shape(desc.shape) and memlet.dynamic:
+        elif memlet.dynamic and self.whole(memlet.subset, desc):
             # dynamic whole-array connector: code mutated the view in place
             return f"pass  # dynamic write-back of {memlet.data}"
         else:
@@ -319,7 +424,11 @@ class _Generator:
                         local_names.add(t.id)
         for name in local_names:
             rename.setdefault(name, f"__t{tid}_{name}")
+        into = self._library_destination(state, node, tree)
         tree = _ScalarRewrite(rename).visit(tree)
+        if into is not None:
+            tree.body[0].value.keywords.append(
+                ast.keyword(arg="out", value=ast.Name(id=into, ctx=ast.Load())))
         ast.fix_missing_locations(tree)
         for stmt in tree.body:
             for line in ast.unparse(stmt).splitlines():
@@ -327,8 +436,66 @@ class _Generator:
         for edge in state.out_edges(node):
             if edge.memlet.is_empty() or edge.src_conn is None:
                 continue
+            if into is not None:
+                continue  # the call wrote its destination
             self.emit_write_guard(edge.memlet, out_vars[edge.src_conn])
             self.emit(self.write_stmt(edge.memlet, out_vars[edge.src_conn]))
+
+    def _library_destination(self, state, node: Tasklet,
+                             tree: ast.Module) -> Optional[str]:
+        """The transient an inlined ``np.matmul``/``np.outer`` call writes
+        through ``out=``, or None.
+
+        Only where the call's output memlet covers a transient (NumPy
+        allocates it C-contiguous, so BLAS rounds as it does for a fresh
+        result) whose dtype and shape are exactly the call's result, read
+        from the descriptors, and no operand is that transient."""
+        if self.sanitize or len(tree.body) != 1:
+            return None
+        stmt = tree.body[0]
+        if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+                and isinstance(stmt.targets[0], ast.Name)):
+            return None
+        call = stmt.value
+        func = ast.unparse(call.func)
+        if func not in ("np.matmul", "np.outer") or call.keywords \
+                or len(call.args) != 2 \
+                or not all(isinstance(a, ast.Name) for a in call.args):
+            return None
+        outs = [e for e in state.out_edges(node) if not e.memlet.is_empty()]
+        if len(outs) != 1 or outs[0].src_conn != stmt.targets[0].id:
+            return None
+        out = outs[0].memlet
+        desc = self.sdfg.arrays.get(out.data)
+        if not isinstance(desc, Array) or not desc.transient or out.wcr \
+                or out.dynamic or not self.whole(out.subset, desc):
+            return None
+        ins = {e.dst_conn: e.memlet for e in state.in_edges(node)
+               if e.dst_conn and not e.memlet.is_empty()}
+        shapes, dtypes = [], []
+        for arg in call.args:
+            memlet = ins.get(arg.id)
+            if memlet is None or memlet.data == out.data or memlet.dynamic \
+                    or memlet.squeeze:
+                return None
+            arg_desc = self.sdfg.arrays[memlet.data]
+            if not isinstance(arg_desc, Array) \
+                    or not self.whole(memlet.subset, arg_desc):
+                return None
+            shapes.append(tuple(arg_desc.shape))
+            dtypes.append(arg_desc.dtype.nptype)
+        if np.result_type(*dtypes) != np.dtype(desc.dtype.nptype):
+            return None
+        a, b = shapes
+        ranks = (len(a), len(b))
+        if func == "np.outer":
+            expect = (a[0], b[0]) if ranks == (1, 1) else None
+        else:
+            expect = {(2, 2): (a[0], b[-1]), (1, 2): (b[-1],),
+                      (2, 1): (a[0],)}.get(ranks)
+        if expect is None or tuple(desc.shape) != expect:
+            return None
+        return out.data
 
     def _tasklet_inlineable(self, state, node: Tasklet) -> bool:
         for edge in list(state.in_edges(node)) + list(state.out_edges(node)):
@@ -385,6 +552,15 @@ class _Generator:
                 continue
             return False  # nested maps, libraries, nested SDFGs
 
+        # A CPU_Multicore scope becomes a chunk function only in a build with
+        # more than one thread.  Its outermost bounds are then the chunk's,
+        # so no access covers a container dimension along that parameter.
+        parallel = (entry.map.schedule == ScheduleType.CPU_Multicore
+                    and k >= 1 and self.threads > 1)
+        ranges = {} if self.sanitize else {
+            p: dim for j, (p, dim) in enumerate(zip(params, entry.map.range.dims))
+            if not (parallel and j == 0)}
+
     # analysis of all scope memlets ------------------------------------
         plans: Dict[int, Dict] = {}
         for node in body:
@@ -407,7 +583,7 @@ class _Generator:
                     return False
                 src = edge.src
                 if src is entry:
-                    plan = self._view_plan(edge.memlet, params)
+                    plan = self._view_plan(edge.memlet, params, ranges)
                     if plan is None:
                         return False
                     in_plan[edge.dst_conn] = ("view", plan)
@@ -425,7 +601,7 @@ class _Generator:
                     return False
                 dst = edge.dst
                 if dst is exit_:
-                    plan = self._store_plan(edge.memlet, params)
+                    plan = self._store_plan(edge.memlet, params, ranges)
                     if plan is None:
                         return False
                     out_plan.setdefault(edge.src_conn, []).append(("store", plan))
@@ -436,14 +612,32 @@ class _Generator:
                 else:
                     return False
             plans[id(node)] = {"tree": tree, "in": in_plan, "out": out_plan}
-        # access-node pass-throughs inside the scope must be point-like
+        # access-node pass-throughs inside the scope must be point-like.  A
+        # scope transient copied in from outside (MapEntry -> AccessNode)
+        # loads its view; one copied out to the exit is left to the loop.
+        loads: Dict[str, tuple] = {}
         for node in body:
-            if isinstance(node, AccessNode):
-                for edge in list(state.in_edges(node)) + list(state.out_edges(node)):
-                    if edge.memlet.is_empty():
-                        continue
-                    if edge.memlet.dynamic:
+            if not isinstance(node, AccessNode):
+                continue
+            for edge in state.in_edges(node):
+                if edge.memlet.is_empty():
+                    continue
+                if edge.memlet.dynamic:
+                    return False
+                if edge.src is entry:
+                    memlet = edge.memlet
+                    if memlet.data == node.data or self.sdfg.arrays[
+                            memlet.data].dtype != self.sdfg.arrays[node.data].dtype:
                         return False
+                    plan = self._view_plan(memlet, params, ranges)
+                    if plan is None:
+                        return False
+                    loads[node.data] = plan
+            for edge in state.out_edges(node):
+                if edge.memlet.is_empty():
+                    continue
+                if edge.memlet.dynamic or edge.dst is exit_:
+                    return False
 
         # cross-store alias analysis: several stores into the same container
         # (through different connectors or tasklets) are only vectorizable
@@ -471,14 +665,37 @@ class _Generator:
                 continue
             return False
 
+        # liveness in emission order: the last tasklet reading each tasklet
+        # output (keyed (id(node), connector)) and the tasklets reading each
+        # container through a view
+        last_use: Dict[Tuple[int, str], int] = {}
+        view_reads: Dict[str, List[int]] = {}
+        local_src: Dict[str, Optional[Tuple[int, str]]] = dict.fromkeys(loads)
+        for i, node in enumerate(body):
+            plan = plans.get(id(node))
+            if plan is None:
+                continue
+            for kind, payload in plan["in"].values():
+                if kind == "view":
+                    view_reads.setdefault(payload[0], []).append(i)
+                elif kind == "local":
+                    if payload not in local_src:
+                        return False  # a scope transient nothing wrote
+                    if local_src[payload] is not None:
+                        last_use[local_src[payload]] = i
+                else:
+                    last_use[(id(payload[0]), payload[1])] = i
+            for conn, actions in plan["out"].items():
+                for kind, payload in actions:
+                    if kind == "local":
+                        local_src[payload] = (id(node), conn)
+
         # conflicted WCR stores under a CPU_Multicore schedule: the store
         # subset does not partition with the outermost parameter (scalar
         # accumulators, reductions over axis 0), so concurrent chunks must
         # accumulate into private identity-initialized buffers merged after
         # the join (see runtime.parallel).  Everything else writes the real
         # containers: race-free scheduling makes chunk writes disjoint.
-        parallel = (entry.map.schedule == ScheduleType.CPU_Multicore
-                    and k >= 1)
         conflicted: Dict[str, str] = {}
         if parallel:
             for data, plist in stores_by_data.items():
@@ -487,34 +704,36 @@ class _Generator:
                         conflicted[data] = p[4]
 
         # ------------------------------------------------------- emission
+        # The body goes first: which bounds it reads, and whether it needs
+        # the iteration shape and the empty-range guard, depend on it.
         sid = self.uid()
-        for i, (b, e, s) in enumerate(entry.map.range.dims):
-            self.emit(f"__b{i}_{sid} = ({b}); __e{i}_{sid} = ({e}); "
-                      f"__s{i}_{sid} = ({s})")
-        target_map: Dict[str, str] = {}
-        if parallel:
-            # the scope body becomes a chunk function: the outermost bounds
-            # are parameters (shadowing the outer names, so every make_slice
-            # on axis 0 selects the chunk's span) and conflicted WCR stores
-            # retarget to the per-chunk accumulator dict
-            acc_var = f"__par_acc{sid}"
-            target_map = {data: f"{acc_var}[{data!r}]" for data in conflicted}
-            self.emit(f"def __par_body{sid}(__b0_{sid}, __e0_{sid}, "
-                      f"{acc_var}):")
-            self._indent += 1
         shape_var = f"__shape{sid}"
-        dims = ", ".join(f"dim_length(__b{i}_{sid}, __e{i}_{sid}, __s{i}_{sid})"
-                         for i in range(k))
-        self.emit(f"{shape_var} = ({dims}{',' if k == 1 else ''})")
-        # guard: empty iteration spaces skip the whole scope
-        self.emit(f"if 0 not in {shape_var}:")
-        self._indent += 1
-
+        acc_var = f"__par_acc{sid}"
+        # in a chunk function, conflicted WCR stores retarget to the
+        # per-chunk accumulator dict
+        target_map = {data: f"{acc_var}[{data!r}]" for data in conflicted}
+        start = len(self.lines)
+        self._indent += 2 if parallel else 1
+        self._needs_guard = parallel
+        full = frozenset(range(k))
         local_vars: Dict[str, str] = {}    # scope transient -> value var
         wire_vars: Dict[Tuple[int, str], str] = {}
+        #: value var -> (dtype or None, canonical axes it spans or None)
+        info: Dict[str, Tuple[Optional[np.dtype], Optional[frozenset]]] = {}
+        #: scope-owned temporaries: [var, dtype, the value occupying it]
+        pool: List[list] = []
 
-        for node in body:
+        for i, node in enumerate(body):
             if isinstance(node, AccessNode):
+                plan = loads.get(node.data)
+                if plan is not None:
+                    var = f"__ld{self.uid()}"
+                    code = self._view_code(plan, sid, k)
+                    if plan[1] == "array" and plan[0] in stores_by_data:
+                        code += ".copy()"  # the scope overwrites its source
+                    self.emit(f"{var} = {code}")
+                    local_vars[node.data] = var
+                    info[var] = self._plan_info(plan)
                 continue
             plan = plans[id(node)]
             tid = self.uid()
@@ -526,33 +745,49 @@ class _Generator:
                         self.emit(f"__guard_read({payload[0]!r}, {payload[0]}, "
                                   f"{self._plan_index_code(payload, sid)})")
                     self.emit(f"{var} = {self._view_code(payload, sid, k)}")
+                    info[var] = self._plan_info(payload)
                 elif kind == "local":
-                    src_var = local_vars.get(payload)
-                    if src_var is None:
-                        self.emit(f"pass  # uninitialized scope transient {payload}")
-                        src_var = "0"
-                    var = src_var
+                    var = local_vars[payload]
                 else:  # wire
                     var = wire_vars[(id(payload[0]), payload[1])]
                 rename[conn] = var
+            ins = tuple(sorted((conn, info[var][0], info[var][1] == frozenset())
+                               for conn, var in rename.items()))
+            dtypes = _out_dtypes(node.code, ins) \
+                if all(dt is not None for _c, dt, _s in ins) else {}
             out_names = {}
             for conn in plan["out"]:
                 out_var = f"__o{tid}_{conn}"
                 rename[conn] = out_var
                 out_names[conn] = out_var
+                info[out_var] = (dtypes.get(conn), None)
             # locals
             tree = ast.parse(ast.unparse(plan["tree"]))
             for sub in ast.walk(tree):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store) \
                         and sub.id not in rename:
                     rename[sub.id] = f"__l{tid}_{sub.id}"
+            single = tree.body[0] if len(tree.body) == 1 else None
+            conn = single.targets[0].id if isinstance(single, ast.Assign) else None
             tree = _VectorRewrite(rename).visit(tree)
             ast.fix_missing_locations(tree)
-            for stmt in tree.body:
-                self.emit(ast.unparse(stmt))
+            written = None  # the store an out= call performs
+            statement = None
+            if conn in plan["out"]:
+                statement, written = self._destination_call(
+                    tree.body[0].value, out_names[conn], (id(node), conn),
+                    plan["out"][conn], i, k, full, info, pool, last_use,
+                    view_reads, stores_by_data, target_map, sid)
+            if statement is not None:
+                self.emit(statement)
+            else:
+                for stmt in tree.body:
+                    self.emit(ast.unparse(stmt))
             for conn, actions in plan["out"].items():
                 for kind, payload in actions:
                     if kind == "store":
+                        if payload is written:
+                            continue
                         if self.sanitize:
                             self.emit(f"__guard_write({payload[0]!r}, "
                                       f"{payload[0]}, "
@@ -560,14 +795,43 @@ class _Generator:
                                       f"{out_names[conn]})")
                         self.emit(self._store_code(
                             payload, out_names[conn], sid, k, shape_var,
-                            target=target_map.get(payload[0])))
+                            target=target_map.get(payload[0]),
+                            direct=self._direct_store(payload, k, stores_by_data,
+                                                      target_map)))
                     elif kind == "local":
                         local_vars[payload] = out_names[conn]
                     # wires resolved by consumers
             for conn in plan["out"]:
                 wire_vars[(id(node), conn)] = out_names[conn]
 
-        self._indent -= 1
+        body_lines = self.lines[start:]
+        del self.lines[start:]
+        self._indent -= 2 if parallel else 1
+        text = "\n".join(body_lines)
+        guard = self._needs_guard or shape_var in text
+        extents = self._covered_extents(params, plans, loads)
+        shape = ", ".join(extents.get(j) or f"dim_length(__b{j}_{sid}, "
+                          f"__e{j}_{sid}, __s{j}_{sid})" for j in range(k))
+        shape = f"({shape}{',' if k == 1 else ''})"
+        if guard:
+            text += shape
+        for j, (b, e, s) in enumerate(entry.map.range.dims):
+            if parallel or f"__b{j}_{sid}" in text:
+                self.emit(f"__b{j}_{sid} = ({b}); __e{j}_{sid} = ({e}); "
+                          f"__s{j}_{sid} = ({s})")
+        if parallel:
+            # the scope body becomes a chunk function: the outermost bounds
+            # are parameters, shadowing the outer names
+            self.emit(f"def __par_body{sid}(__b0_{sid}, __e0_{sid}, "
+                      f"{acc_var}):")
+            self._indent += 1
+        if guard:
+            # empty iteration spaces skip the whole scope
+            self.emit(f"{shape_var} = {shape}")
+            self.emit(f"if 0 not in {shape_var}:")
+            self.lines.extend(body_lines)
+        else:
+            self.lines.extend(line[4:] for line in body_lines)
         if parallel:
             self._indent -= 1  # close the chunk-function def
             from ..runtime.perfmodel import tasklet_flops
@@ -584,7 +848,93 @@ class _Generator:
                       f"__s0_{sid}, ({flops}) * ({inner}), {spec}, {label!r})")
         return True
 
-    def _view_plan(self, memlet: Memlet, params: List[str]):
+    def _destination_call(self, value: ast.expr, out_var: str, key, actions,
+                          i: int, k: int, full: frozenset, info, pool,
+                          last_use, view_reads, stores_by_data, target_map,
+                          sid: int):
+        """The statement computing a single-statement tasklet's result into
+        its destination, as ``(statement, store it performs)``, or
+        ``(None, None)`` to keep the plain expression.
+
+        A ufunc result goes ``out=`` its container when it is that
+        container's only store in the scope, with identity axes and the
+        container's dtype, and no view of the container is read after it;
+        otherwise a full-shape result reuses a dead scope-owned temporary of
+        its dtype.  Neither changes rounding."""
+        names = [n.id for n in ast.walk(value) if isinstance(n, ast.Name)]
+        axes = _union_axes(info[n][1] for n in names if n in info)
+        dtype = info[out_var][0]
+        info[out_var] = (dtype, axes)
+        call = _ufunc_call(value)
+        if call is None or dtype is None:
+            return None, None
+        func, args = call
+        args = ", ".join(ast.unparse(a) for a in args)
+        stores = [p for kind, p in actions if kind == "store"]
+        if len(stores) == 1:
+            store = stores[0]
+            if self._direct_store(store, k, stores_by_data, target_map) \
+                    and dtype == self.sdfg.arrays[store[0]].dtype.nptype \
+                    and all(j <= i for j in view_reads.get(store[0], ())):
+                dest = self._dst_view_code(store, sid)
+                return f"{out_var} = {func}({args}, out={dest})", store
+        if not k or axes != full:
+            return None, None
+        for buf in pool:
+            if buf[1] == dtype and last_use.get(buf[2], -1) <= i:
+                buf[2] = key
+                return f"{out_var} = {func}({args}, out={buf[0]})", None
+        pool.append([out_var, dtype, key])  # a fresh array the scope owns
+        return None, None
+
+    def _direct_store(self, plan, k: int, stores_by_data, target_map) -> bool:
+        """Whether a store writes its destination view directly: the only
+        non-WCR store into the container in this scope, with identity
+        axes."""
+        return (plan[1] == "array" and plan[4] is None
+                and plan[3] == list(range(k)) and not self.sanitize
+                and len(stores_by_data[plan[0]]) == 1
+                and plan[0] not in target_map)
+
+    def _covered_extents(self, params, plans, loads) -> Dict[int, str]:
+        """Map parameter index -> ``X.shape[d]`` for every parameter whose
+        range some access covers along container dimension *d*."""
+        extents: Dict[int, str] = {}
+        every = [payload for plan in plans.values()
+                 for kind, payload in plan["in"].values() if kind == "view"]
+        every += [payload for plan in plans.values()
+                  for actions in plan["out"].values()
+                  for kind, payload in actions if kind == "store"]
+        every += list(loads.values())
+        for plan in every:
+            for dp in plan[2]:
+                if dp[0] == "affine" and dp[4] is not None:
+                    extents.setdefault(params.index(dp[1]),
+                                       f"{plan[0]}.shape[{dp[4]}]")
+        return extents
+
+    def _plan_info(self, plan):
+        """(dtype, canonical axes) of the value a view plan reads."""
+        dtype = np.dtype(self.sdfg.arrays[plan[0]].dtype.nptype)
+        return dtype, frozenset(plan[3])
+
+    def _dim_plan(self, desc, d: int, begin, params: List[str], ranges):
+        """One point dimension of a scope access: ``("const", index)`` or
+        ``("affine", param, a, c, covered)``, where *covered* is the
+        container dimension *d* when ``param`` ranges over all of it with
+        ``a == 1, c == 0`` (the access is then ``:``), else None."""
+        dec = affine_decompose(begin, params)
+        if dec is None:
+            return None
+        param, a, c = dec
+        if param is None:
+            return ("const", begin)
+        covered = d if (a == 1 and c == 0 and param in ranges
+                        and d < len(desc.shape)
+                        and self.covers(desc, d, *ranges[param])) else None
+        return ("affine", param, a, c, covered)
+
+    def _view_plan(self, memlet: Memlet, params: List[str], ranges):
         if memlet.dynamic:
             return None
         desc = self.sdfg.arrays[memlet.data]
@@ -595,61 +945,75 @@ class _Generator:
         dim_plans = []
         axes = []
         seen_params = set()
-        for begin, end, step in memlet.subset.dims:
-            if definitely_eq(begin, end) is True:
-                dec = affine_decompose(begin, params)
-                if dec is None:
-                    return None
-                param, a, c = dec
-                if param is None:
-                    dim_plans.append(("const", begin))
-                else:
-                    if param in seen_params:
-                        return None
-                    seen_params.add(param)
-                    dim_plans.append(("affine", param, a, c))
-                    axes.append(params.index(param))
-            else:
+        for d, (begin, end, step) in enumerate(memlet.subset.dims):
+            if definitely_eq(begin, end) is not True:
                 # range dims (array-valued connector): not vectorizable here
                 return None
+            dp = self._dim_plan(desc, d, begin, params, ranges)
+            if dp is None:
+                return None
+            if dp[0] == "affine":
+                if dp[1] in seen_params:
+                    return None
+                seen_params.add(dp[1])
+                axes.append(params.index(dp[1]))
+            dim_plans.append(dp)
         return (memlet.data, "array", dim_plans, axes)
 
-    def _plan_parts(self, dim_plans, axes, sid: int) -> List[str]:
+    def _plan_parts(self, dim_plans, axes, sid: int,
+                    covers: bool = True) -> List[str]:
         """Per-dimension index expressions shared by views, stores, and the
         sanitizer guards.  ``axes[i]`` is the canonical parameter index of
-        the i-th affine dim."""
+        the i-th affine dim.  With *covers*, a covered dimension is ``:``
+        (subscript context only)."""
         parts = []
         affine_i = 0
         for dp in dim_plans:
             if dp[0] == "const":
+                self._needs_guard = True
                 parts.append(f"({dp[1]})")
-            else:
-                _, param, a, c = dp
-                j = axes[affine_i]
-                affine_i += 1
-                parts.append(f"make_slice(({a}), ({c}), __b{j}_{sid}, "
-                             f"__e{j}_{sid}, __s{j}_{sid})")
+                continue
+            _, param, a, c, covered = dp
+            j = axes[affine_i]
+            affine_i += 1
+            if covers and covered is not None:
+                parts.append(":")
+                continue
+            self._needs_guard = True
+            parts.append(f"make_slice(({a}), ({c}), __b{j}_{sid}, "
+                         f"__e{j}_{sid}, __s{j}_{sid})")
         return parts
 
     def _plan_index_code(self, plan, sid: int) -> str:
         dim_plans, axes = plan[2], plan[3]
         if plan[1] == "scalar":
             return "(0,)"
-        parts = self._plan_parts(dim_plans, axes, sid)
+        parts = self._plan_parts(dim_plans, axes, sid, covers=False)
         return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
+    def _subscript(self, plan, sid: int) -> Optional[str]:
+        """``[...]`` subscript of a plan's view, None for the bare name."""
+        parts = self._plan_parts(plan[2], plan[3], sid)
+        if all(p == ":" for p in parts):
+            return None
+        return f"[{', '.join(parts)}{',' if len(parts) == 1 else ''}]"
+
     def _view_code(self, plan, sid: int, k: int) -> str:
-        data, kind, dim_plans, axes = plan
+        data, kind, _dim_plans, axes = plan[:4]
         if kind == "scalar":
             return f"{data}[0]"
-        parts = self._plan_parts(dim_plans, axes, sid)
-        view = f"{data}[{', '.join(parts)}{',' if len(parts) == 1 else ''}]" \
-            if parts else data
+        view = data + (self._subscript(plan, sid) or "")
         if axes == list(range(k)):
             return view
         return f"align_axes({view}, {tuple(axes)}, {k})"
 
-    def _store_plan(self, memlet: Memlet, params: List[str]):
+    def _dst_view_code(self, plan, sid: int, assign: bool = False) -> str:
+        """A store's destination view (identity axes): the bare name for a
+        whole container, ``X[...]`` when it is an assignment target."""
+        sub = self._subscript(plan, sid)
+        return plan[0] + (sub or ("[...]" if assign else ""))
+
+    def _store_plan(self, memlet: Memlet, params: List[str], ranges):
         if memlet.dynamic:
             return None
         desc = self.sdfg.arrays[memlet.data]
@@ -662,37 +1026,38 @@ class _Generator:
         dim_plans = []
         axes = []
         seen = set()
-        for begin, end, step in memlet.subset.dims:
+        for d, (begin, end, step) in enumerate(memlet.subset.dims):
             if definitely_eq(begin, end) is not True:
                 return None
-            dec = affine_decompose(begin, params)
-            if dec is None:
+            dp = self._dim_plan(desc, d, begin, params, ranges)
+            if dp is None:
                 return None
-            param, a, c = dec
-            if param is None:
-                dim_plans.append(("const", begin))
-            else:
-                if param in seen:
+            if dp[0] == "affine":
+                if dp[1] in seen:
                     return None
-                seen.add(param)
-                dim_plans.append(("affine", param, a, c))
-                axes.append(params.index(param))
+                seen.add(dp[1])
+                axes.append(params.index(dp[1]))
+            dim_plans.append(dp)
         if memlet.wcr is None and len(axes) != len(params):
             return None  # overwrite race on missing parameters
         return (memlet.data, "array", dim_plans, axes, memlet.wcr)
 
     def _store_code(self, plan, value_var: str, sid: int, k: int,
-                    shape_var: str, target: Optional[str] = None) -> str:
+                    shape_var: str, target: Optional[str] = None,
+                    direct: bool = False) -> str:
         data, kind, dim_plans, axes, wcr = plan
+        if direct:
+            return f"{self._dst_view_code(plan, sid, assign=True)} = {value_var}"
         dst = target or data
         if kind == "scalar":
             idx = "(0,)"
             if wcr is None:
                 return f"{dst}[0] = np.broadcast_to({value_var}, ()).item() " \
                        f"if np.ndim({value_var}) else {value_var}"
+            self._needs_guard = True
             return (f"wcr_store({dst}, {idx}, {value_var}, {wcr!r}, (), "
                     f"{shape_var})")
-        parts = self._plan_parts(dim_plans, axes, sid)
+        parts = self._plan_parts(dim_plans, axes, sid, covers=False)
         idx = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
         if wcr is None:
             return (f"store_aligned({dst}, {idx}, {value_var}, {tuple(axes)}, "

@@ -502,20 +502,35 @@ def _execute_level(ctx: _Context, state: SDFGState, nodes: List[Node],
         elif isinstance(node, NestedSDFG):
             _execute_nested(ctx, state, node, env)
         elif isinstance(node, AccessNode):
-            # perform access->access copy edges when visiting the destination
+            # copies happen when their access node is visited: into it from
+            # another access node or from outside the enclosing scope
+            # (MapEntry -> transient), and out of the scope (-> MapExit)
             for edge in state.in_edges(node):
-                if isinstance(edge.src, AccessNode) and not edge.memlet.is_empty():
+                if edge.memlet.is_empty():
+                    continue
+                if isinstance(edge.src, AccessNode):
                     _copy_edge(ctx, edge, env)
+                elif isinstance(edge.src, MapEntry):
+                    _copy_edge(ctx, edge, env,
+                               src_name=state.memlet_path(edge)[0].src.data)
+            for edge in state.out_edges(node):
+                if isinstance(edge.dst, MapExit) and not edge.memlet.is_empty():
+                    _copy_edge(ctx, edge, env,
+                               dst_name=state.memlet_path(edge)[-1].dst.data)
         elif isinstance(node, MapExit):
             pass  # all writes happen at the producing code nodes
         else:  # pragma: no cover - future node kinds
             raise ExecutionError(f"cannot execute node {node!r}")
 
 
-def _copy_edge(ctx: _Context, edge, env: Dict[str, Any]) -> None:
+def _copy_edge(ctx: _Context, edge, env: Dict[str, Any],
+               src_name: Optional[str] = None,
+               dst_name: Optional[str] = None) -> None:
+    """Copy along *edge*; a side that is a map entry/exit names its
+    container through *src_name*/*dst_name*."""
     memlet = edge.memlet
-    src_name = edge.src.data
-    dst_name = edge.dst.data
+    src_name = src_name or edge.src.data
+    dst_name = dst_name or edge.dst.data
     src_desc = ctx.sdfg.arrays[src_name]
     dst_desc = ctx.sdfg.arrays[dst_name]
     src_storage = ctx.storage(src_name)
@@ -546,6 +561,8 @@ def _copy_edge(ctx: _Context, edge, env: Dict[str, Any]) -> None:
         dst_storage.append(np.copy(value))
         return
     if isinstance(dst_desc, Scalar):
+        if np.ndim(value) and np.size(value) == 1:
+            value = _scalar_value(value)  # a point read is a 1-element view
         if memlet.wcr:
             apply_wcr(dst_storage, 0, value, memlet.wcr)
         else:

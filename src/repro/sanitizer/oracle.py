@@ -296,7 +296,11 @@ def run_oracle(program, *, inputs: Optional[Dict[str, object]] = None,
     ) is not None
 
     # --- bisection --------------------------------------------------------
-    if compiled_ok and not optimized_ok and report.verdict == "mismatch":
+    # whenever the optimized tier disagrees with a working compiled tier,
+    # whatever the interpreter tier did (an interpreter error sets the
+    # verdict to "error" first)
+    if compiled_ok and not optimized_ok \
+            and report.stages["optimized"].startswith("mismatch"):
         step_names = [s[0] for s in steps] if steps is not None else AUTOOPT_STEPS
 
         def prefix_ok(k: int) -> bool:

@@ -313,3 +313,145 @@ class TestCompiledArtifacts:
         path = tmp_path / "module.py"
         compiled.save_source(str(path))
         assert "def __run" in path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# A loop body that reads an element and then overwrites it
+# ---------------------------------------------------------------------------
+
+def read_then_zero_plus(A: repro.float64[N], B: repro.float64[N]):
+    for i in range(N):
+        B[i] = A[i] + 1.0
+        A[i] = 0.0
+
+
+def read_then_zero(A: repro.float64[N], B: repro.float64[N]):
+    for i in range(N):
+        B[i] = A[i]
+        A[i] = 0.0
+
+
+def read_then_zero_rows(A: repro.float64[N, M], B: repro.float64[N, M]):
+    for i in range(N):
+        B[i, :] = A[i, :]
+        A[i, :] = 0.0
+
+
+READ_THEN_OVERWRITE = [
+    (read_then_zero_plus, (7,), 1.0),
+    (read_then_zero, (7,), 0.0),
+    (read_then_zero_rows, (5, 3), 0.0),
+]
+
+
+class TestReadThenOverwrite:
+    """After LoopToMap the body copies ``A[i]`` into a scope transient
+    (a MapEntry -> AccessNode edge) before the overwrite of ``A[i]``; both
+    backends must perform that copy."""
+
+    @staticmethod
+    def _inputs(shape):
+        return np.arange(1.0, np.prod(shape) + 1).reshape(shape), np.zeros(shape)
+
+    @pytest.mark.parametrize("func,shape,offset", READ_THEN_OVERWRITE)
+    def test_compiled_optimized(self, func, shape, offset):
+        A0, B = self._inputs(shape)
+        A = A0.copy()
+        repro.program(auto_optimize=True)(func)(A=A, B=B)
+        np.testing.assert_array_equal(B, A0 + offset)
+        np.testing.assert_array_equal(A, np.zeros(shape))
+
+    @pytest.mark.parametrize("func,shape,offset", READ_THEN_OVERWRITE)
+    def test_interpreter_optimized(self, func, shape, offset):
+        from repro.autoopt import auto_optimize
+
+        A0, B = self._inputs(shape)
+        sdfg = auto_optimize(repro.program(func).to_sdfg().clone(), device="CPU")
+        A = A0.copy()
+        run_sdfg(sdfg, A=A, B=B)
+        np.testing.assert_array_equal(B, A0 + offset)
+        np.testing.assert_array_equal(A, np.zeros(shape))
+
+    def test_interpreter_point_read_into_scalar(self):
+        # unoptimized, ``A[i]`` is copied into a Scalar transient: the
+        # one-element view must be stored as a scalar
+        A0, B = self._inputs((7,))
+        A = A0.copy()
+        run_sdfg(repro.program(read_then_zero_plus).to_sdfg().clone(), A=A, B=B)
+        np.testing.assert_array_equal(B, A0 + 1.0)
+        np.testing.assert_array_equal(A, np.zeros(7))
+
+
+# ---------------------------------------------------------------------------
+# What the generated scope bodies write, and that it rounds as before
+# ---------------------------------------------------------------------------
+
+BITWISE_KERNELS = ["atax", "bicg", "mvt", "gemm", "k2mm", "k3mm", "covariance",
+                   "gemver", "hdiff", "fdtd_2d"]
+
+
+def _optimized_corpus_graph(name):
+    from repro.autoopt import auto_optimize
+    from repro.bench import registry
+
+    bench = registry.get(name)
+    sdfg = bench.program.to_sdfg(**bench.arguments("test")).clone()
+    return bench, auto_optimize(sdfg, device="CPU")
+
+
+@pytest.mark.parametrize("name", BITWISE_KERNELS)
+def test_destination_writes_are_bitwise(name):
+    """``out=`` stores, reused temporaries and bare names change no
+    rounding: the compiled module equals the interpreter on the same
+    optimized graph bit for bit, and the NumPy reference too where that held
+    before (covariance's reference sums in another order)."""
+    bench, sdfg = _optimized_corpus_graph(name)
+    runs = []
+    for run in (lambda **kw: compile_sdfg(sdfg.clone(), cache=False)(**kw),
+                lambda **kw: run_sdfg(sdfg.clone(), **kw),
+                bench.reference):
+        args = bench.arguments("test")
+        ret = run(**args)
+        runs.append([args[o] for o in bench.outputs] if bench.outputs
+                    else [np.asarray(ret)])
+    compiled, interpreted, reference = runs
+    for got, want in zip(compiled, interpreted):
+        np.testing.assert_array_equal(got, want)
+    if name != "covariance":
+        for got, want in zip(compiled, reference):
+            np.testing.assert_array_equal(got, want)
+
+
+ARRAY_KERNELS = ["fdtd_2d", "hdiff", "gemver", "gemm"]
+
+
+class TestEmissionCensus:
+    """The serial modules of the four ``array_kernels`` programs (fdtd_2d,
+    hdiff, gemver, gemm): straight line, destination writes, no
+    whole-container copies."""
+
+    @pytest.mark.parametrize("name", ARRAY_KERNELS)
+    def test_single_thread_module(self, name):
+        from repro.config import Config
+
+        _bench, sdfg = _optimized_corpus_graph(name)
+        with Config.override(device__cpu_threads=1):
+            source = compile_sdfg(sdfg, cache=False).source
+        assert "__par_map" not in source
+        assert "def __par_body" not in source
+        # every store is a destination write: out= or a direct assignment
+        assert "store_aligned(" not in source
+        assert "make_slice(1, 0, (0)" not in source
+        if name == "gemver":
+            calls = [line for line in source.splitlines()
+                     if "np.outer(" in line or "np.matmul(" in line]
+            assert len(calls) == 4
+            assert all(", out=__tmp" in line for line in calls)
+
+    def test_multi_thread_module_keeps_chunk_functions(self):
+        from repro.config import Config
+
+        _bench, sdfg = _optimized_corpus_graph("gemver")
+        with Config.override(device__cpu_threads=4):
+            source = compile_sdfg(sdfg, cache=False).source
+        assert "__par_map" in source and "def __par_body" in source

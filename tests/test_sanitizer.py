@@ -648,6 +648,31 @@ class TestOracle:
         assert report.culprit == "bad_rewrite"
         assert report.stages["compiled"] == "ok"
 
+    def test_run_oracle_bisects_when_interpreter_tier_errors(self, monkeypatch):
+        @repro.program
+        def double(A: repro.float64[8], B: repro.float64[8]):
+            for i in repro.map[0:8]:
+                B[i] = A[i] * 2.0
+
+        from repro.sanitizer import oracle
+
+        def broken_interpreter(sdfg, **kwargs):
+            raise RuntimeError("stub interpreter tier")
+
+        def miscompile(sdfg):
+            for state in sdfg.states():
+                for node in state.nodes():
+                    if isinstance(node, Tasklet):
+                        node.code = node.code.replace("2.0", "3.0")
+
+        monkeypatch.setattr(oracle, "run_sdfg", broken_interpreter)
+        steps = [("harmless", lambda s: None), ("bad_rewrite", miscompile)]
+        report = oracle.run_oracle(double, seed=0, steps=steps)
+        assert report.stages["interpreter"].startswith("error")
+        assert report.verdict == "error"
+        assert report.stages["optimized"].startswith("mismatch")
+        assert report.culprit == "bad_rewrite"
+
 
 # ---------------------------------------------------------------------------
 # CLI sweep
