@@ -722,6 +722,9 @@ class _Generator:
         info: Dict[str, Tuple[Optional[np.dtype], Optional[frozenset]]] = {}
         #: scope-owned temporaries: [var, dtype, the value occupying it]
         pool: List[list] = []
+        #: names that may hold arrays the scope allocated: released at its
+        #: end, so later scopes' temporaries reuse their memory
+        fresh: List[str] = []
 
         for i, node in enumerate(body):
             if isinstance(node, AccessNode):
@@ -731,6 +734,7 @@ class _Generator:
                     code = self._view_code(plan, sid, k)
                     if plan[1] == "array" and plan[0] in stores_by_data:
                         code += ".copy()"  # the scope overwrites its source
+                        fresh.append(var)
                     self.emit(f"{var} = {code}")
                     local_vars[node.data] = var
                     info[var] = self._plan_info(plan)
@@ -780,9 +784,14 @@ class _Generator:
                     view_reads, stores_by_data, target_map, sid)
             if statement is not None:
                 self.emit(statement)
+                if written is None:
+                    fresh.append(out_names[conn])
             else:
                 for stmt in tree.body:
                     self.emit(ast.unparse(stmt))
+                fresh.extend(n.id for n in ast.walk(tree)
+                             if isinstance(n, ast.Name)
+                             and isinstance(n.ctx, ast.Store))
             for conn, actions in plan["out"].items():
                 for kind, payload in actions:
                     if kind == "store":
@@ -804,6 +813,8 @@ class _Generator:
             for conn in plan["out"]:
                 wire_vars[(id(node), conn)] = out_names[conn]
 
+        if fresh and not parallel:
+            self.emit("del " + ", ".join(dict.fromkeys(fresh)))
         body_lines = self.lines[start:]
         del self.lines[start:]
         self._indent -= 2 if parallel else 1
@@ -829,7 +840,7 @@ class _Generator:
             # empty iteration spaces skip the whole scope
             self.emit(f"{shape_var} = {shape}")
             self.emit(f"if 0 not in {shape_var}:")
-            self.lines.extend(body_lines)
+            self.lines.extend(body_lines or ["    " * (self._indent + 1) + "pass"])
         else:
             self.lines.extend(line[4:] for line in body_lines)
         if parallel:
