@@ -24,14 +24,13 @@ from ..ir.nodes import (
     AccessNode,
     LibraryNode,
     MapEntry,
-    MapExit,
     NestedSDFG,
     Node,
     ScheduleType,
     Tasklet,
 )
-from ..symbolic import Expr, Integer, Range, definitely_eq
 from ..runtime.parallel import configured_threads
+from ..symbolic import Expr, Integer, Range, definitely_eq
 from .support import (Max, Min, align_axes, dim_length, make_slice,
                       store_aligned, wcr_store)
 
@@ -240,9 +239,10 @@ def _out_dtypes(code: str, inputs: Tuple[Tuple[str, np.dtype, bool], ...]
             exec(compile(tree, "<tasklet dtype>", "exec"), env)
     except Exception:
         return {}
+    connectors = {conn for conn, _dtype, _scalar in inputs}
     return {name: value.dtype for name, value in env.items()
             if isinstance(value, (np.ndarray, np.generic))
-            and name not in dict(((c, None) for c, _d, _s in inputs))}
+            and name not in connectors}
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1065,6 @@ class _Generator:
             if wcr is None:
                 return f"{dst}[0] = np.broadcast_to({value_var}, ()).item() " \
                        f"if np.ndim({value_var}) else {value_var}"
-            self._needs_guard = True
             return (f"wcr_store({dst}, {idx}, {value_var}, {wcr!r}, (), "
                     f"{shape_var})")
         parts = self._plan_parts(dim_plans, axes, sid, covers=False)
