@@ -2,8 +2,10 @@
 content-addressed entry directory.
 
 Disk entries are single JSON files holding the generated module source, the
-serialized (post-optimization) SDFG, the interpreter-fallback closure
-specification, and a payload checksum.  Writes are crash-safe (temp file +
+serialized (post-optimization) SDFG, the positions of the nodes the module
+still runs through interpreter closures (a multi-threaded build's declined
+``CPU_Multicore`` scopes, streams, nested SDFGs; empty for most modules), and
+a payload checksum.  Writes are crash-safe (temp file +
 atomic rename, so concurrent writers race benignly — last writer wins with
 an identical payload); reads verify the checksum and evict corrupted
 entries.  The disk tier is LRU via entry-file mtimes and size-bounded by

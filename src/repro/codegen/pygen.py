@@ -3,8 +3,12 @@
 Where the paper's CPU backend emits C++, this backend emits a specialized
 Python module: map scopes whose memlets are affine in the map parameters
 become *vectorized NumPy expressions over views* (so fused scopes execute as
-single array statements with no interpreter-per-element overhead), and
-everything else falls back to the reference interpreter at node granularity.
+single array statements with no interpreter-per-element overhead), and the
+scopes the vectorizer declines become plain Python loop nests.  Only a
+``CPU_Multicore`` scope of a multi-threaded build (whose chunks the
+interpreter dispatches) and nodes the generator does not lower (streams,
+nested SDFGs, other library kinds) call back into the reference interpreter,
+at node granularity.
 
 The generated source is kept on the CompiledSDFG for inspection — it plays
 the role of the generated .cpp file.
@@ -24,11 +28,13 @@ from ..ir.nodes import (
     AccessNode,
     LibraryNode,
     MapEntry,
+    MapExit,
     NestedSDFG,
     Node,
     ScheduleType,
     Tasklet,
 )
+from ..library.blas import MatMul, Outer, mkl_code
 from ..runtime.parallel import configured_threads
 from ..symbolic import Expr, Integer, Range, definitely_eq
 from .support import (Max, Min, align_axes, dim_length, make_slice,
@@ -268,6 +274,18 @@ class _Generator:
         self._last_index: Dict[Tuple[int, int], Expr] = {}
         #: set by scope statements that need the iteration shape / guard
         self._needs_guard = False
+        #: the state's scope order, for the bodies of nested scopes
+        self._order: Dict[Optional[MapEntry], List[Node]] = {}
+        #: loop variables of the generated loop nests being emitted,
+        #: outermost first
+        self._loop_params: List[str] = []
+        #: names the module binds in ``__run`` (containers, symbols,
+        #: constants): a loop variable must not overwrite one
+        self.bound: set = set()
+        #: transients whose shapes are not known at entry, and those of them
+        #: a loop nest allocates (their shapes name its variables)
+        self.dynamic_transients: set = set()
+        self.loop_allocated: set = set()  # in the state being emitted
 
     def uid(self) -> int:
         self._uid += 1
@@ -294,18 +312,21 @@ class _Generator:
         return len(subset.dims) == len(desc.shape) and all(
             self.covers(desc, d, *dim) for d, dim in enumerate(subset.dims))
 
-    def subset_slices_code(self, subset: Range, desc) -> str:
+    def subset_slices_code(self, subset: Range, desc, indexed=()) -> str:
         """Python tuple-of-slices code for a symbolic subset; a subset that
         covers its container is ``...`` and a covered dimension
         ``slice(None)`` (sanitized builds keep explicit slices for the
-        bounds guards)."""
+        bounds guards).  The point dimensions *indexed* are integer
+        indices, which drop them as a squeeze would."""
         if isinstance(desc, Scalar):
             return "(slice(0, 1, 1),)"
-        if not self.sanitize and self.whole(subset, desc):
+        if not self.sanitize and not indexed and self.whole(subset, desc):
             return "..."
         dims = []
         for d, (begin, end, step) in enumerate(subset.dims):
-            if not self.sanitize and d < len(desc.shape) \
+            if d in indexed:
+                dims.append(f"({begin})")
+            elif not self.sanitize and d < len(desc.shape) \
                     and self.covers(desc, d, begin, end, step):
                 dims.append("slice(None)")
             elif all(isinstance(x, Integer) for x in (begin, end, step)):
@@ -314,6 +335,8 @@ class _Generator:
                 # wrong for both)
                 s = make_slice(1, 0, begin.value, end.value, step.value)
                 dims.append(f"slice({s.start}, {s.stop}, {s.step})")
+            elif begin == end and step == 1:
+                dims.append(f"slice(({begin}), ({begin}) + 1)")  # a point
             else:
                 dims.append(f"make_slice(1, 0, ({begin}), ({end}), ({step}))")
         return "(" + ", ".join(dims) + ("," if len(dims) == 1 else "") + ")"
@@ -350,11 +373,17 @@ class _Generator:
         desc = self.sdfg.arrays[memlet.data]
         if isinstance(desc, Scalar):
             return f"{memlet.data}[0]"
-        if memlet.subset.is_point() is True and not memlet.dynamic:
+        if not memlet.dynamic and memlet.subset.is_point() is True:
             idx = ", ".join(f"({b})" for b, _e, _s in memlet.subset.dims)
             return f"{memlet.data}[{idx}]"
         if not memlet.squeeze and self.whole(memlet.subset, desc):
             return memlet.data
+        dims = memlet.subset.dims
+        if memlet.squeeze and all(d < len(dims) and dims[d][0] == dims[d][1]
+                                  for d in memlet.squeeze):
+            # squeezed point dimensions are integer indices
+            return f"{memlet.data}[" + self.subset_slices_code(
+                memlet.subset, desc, memlet.squeeze) + "]"
         view = f"{memlet.data}[{self.subset_slices_code(memlet.subset, desc)}]"
         if memlet.squeeze:
             view = f"np.squeeze({view}, axis={memlet.squeeze})"
@@ -364,7 +393,7 @@ class _Generator:
         desc = self.sdfg.arrays[memlet.data]
         if isinstance(desc, Scalar):
             target = f"{memlet.data}[0]"
-        elif memlet.subset.is_point() is True and not memlet.dynamic:
+        elif not memlet.dynamic and memlet.subset.is_point() is True:
             idx = ", ".join(f"({b})" for b, _e, _s in memlet.subset.dims)
             target = f"{memlet.data}[{idx}]"
         elif memlet.dynamic and self.whole(memlet.subset, desc):
@@ -395,7 +424,11 @@ class _Generator:
         self.emit(f"{name}(__c, locals())")
 
     # ------------------------------------------------------------ tasklets
-    def emit_tasklet_inline(self, state, node: Tasklet) -> None:
+    def emit_tasklet_inline(self, state, node, code: Optional[str] = None
+                            ) -> None:
+        """Emit *node* (a tasklet, or a library node with the *code* of its
+        fast-library expansion) as scalar statements."""
+        code = node.code if code is None else code
         tid = self.uid()
         rename: Dict[str, str] = {}
         for edge in state.in_edges(node):
@@ -413,7 +446,7 @@ class _Generator:
             rename.setdefault(edge.src_conn, var)
             out_vars[edge.src_conn] = rename[edge.src_conn]
         # rename locals too (avoid collisions across tasklets)
-        tree = ast.parse(node.code)
+        tree = ast.parse(code)
         local_names = set()
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
@@ -497,7 +530,10 @@ class _Generator:
             return None
         return out.data
 
-    def _tasklet_inlineable(self, state, node: Tasklet) -> bool:
+    def _tasklet_inlineable(self, state, node, params=()) -> bool:
+        """Whether *node*'s memlets can be emitted as scalar statements
+        where the loop variables *params* are bound; a tasklet's code must
+        parse too."""
         for edge in list(state.in_edges(node)) + list(state.out_edges(node)):
             if edge.memlet.is_empty():
                 continue
@@ -507,9 +543,12 @@ class _Generator:
             if edge.memlet.subset is not None \
                     and any(s.name.startswith("__")
                             and s.name not in self.sdfg.symbols
+                            and s.name not in params
                             for s in edge.memlet.free_symbols):
-                # references map parameters: not a top-level tasklet
+                # references parameters of a scope not emitted as a loop
                 return False
+        if not isinstance(node, Tasklet):
+            return True
         try:
             ast.parse(node.code)
         except SyntaxError:
@@ -518,22 +557,131 @@ class _Generator:
 
     # ------------------------------------------------------------ map scopes
     def emit_scope(self, state, entry: MapEntry, body: List[Node]) -> None:
+        """Emit *entry*'s scope vectorized, else as a loop nest, else (see
+        :meth:`_interpreted`) as an interpreter closure."""
+        timer = None
         if self.instrument:
-            # only the vectorized path gets a generated timer: the fallback
-            # path runs through the interpreter, whose own map hook records
-            # the scope (avoiding a double count)
-            uid = self.uid()
-            name = entry.map.label or ",".join(entry.map.params)
-            self.emit(f"__mt{uid} = __prof_now()")
-            if self._try_vector_scope(state, entry, body):
-                self.emit(f"__prof_add('map', {name!r}, "
-                          f"__prof_now() - __mt{uid})")
-            else:
-                self.lines.pop()  # drop the unused timer start
-                self.node_fallback(state, entry)
-            return
+            # generated code gets a generated timer; a closure runs through
+            # the interpreter, whose own map hook records the scope (avoiding
+            # a double count)
+            timer = f"__mt{self.uid()}"
+            self.emit(f"{timer} = __prof_now()")
         if not self._try_vector_scope(state, entry, body):
-            self.node_fallback(state, entry)
+            if self._interpreted(state, entry,
+                                 self._loop_params + list(entry.map.params)):
+                if timer is not None:
+                    self.lines.pop()  # drop the unused timer start
+                self.node_fallback(state, entry)
+                return
+            self.emit_loop_scope(state, entry, body)
+        if timer is not None:
+            name = entry.map.label or ",".join(entry.map.params)
+            self.emit(f"__prof_add('map', {name!r}, __prof_now() - {timer})")
+
+    def _interpreted(self, state, entry: MapEntry, params: List[str]) -> bool:
+        """Whether a scope the vectorizer declined stays an interpreter
+        closure, given the loop variables *params* its body sees: when it,
+        or a scope nested in it, is ``CPU_Multicore`` in a multi-threaded
+        build (the interpreter dispatches its chunks), or holds a node or
+        memlet the loop emitters do not lower.  So no closure is ever
+        emitted inside a loop."""
+        if entry.map.schedule == ScheduleType.CPU_Multicore \
+                and self.threads > 1:
+            return True
+        for node in self._order.get(entry, []):
+            if isinstance(node, MapEntry):
+                if self._interpreted(state, node,
+                                     params + list(node.map.params)):
+                    return True
+            elif isinstance(node, AccessNode):
+                names = {node.data}
+                for _edge, src, dst in self._copies(state, node):
+                    names.update((src, dst))
+                if any(isinstance(self.sdfg.arrays.get(n), Stream)
+                       for n in names):
+                    return True
+            elif not isinstance(node, (Tasklet, MatMul, Outer)) \
+                    or not self._tasklet_inlineable(state, node, params):
+                return True
+        return False
+
+    def emit_loop_scope(self, state, entry: MapEntry, body: List[Node]) -> None:
+        """Emit *entry*'s scope as a Python loop nest, one ``for`` per
+        parameter, with the top-level emitters for its body in scope order;
+        a nested scope goes through :meth:`emit_scope`, so it may still
+        vectorize.  A loop variable named like a name of ``__run`` or of an
+        enclosing loop is renamed throughout the nest."""
+        start, indent = len(self.lines), self._indent
+        params = list(entry.map.params)
+        for p, (b, e, s) in zip(params, entry.map.range.dims):
+            bounds = [str(e + 1)]
+            if b != 0 or s != 1:
+                bounds.insert(0, str(b))
+            if s != 1:
+                bounds.append(str(s))
+            self.emit(f"for {p} in range({', '.join(bounds)}):")
+            self._indent += 1
+        self._loop_params.extend(params)
+        self._allocate_in_loop(state, entry, params)
+        body_start = len(self.lines)
+        for node in body:
+            if isinstance(node, AccessNode):
+                self.emit_copies(state, node)
+            elif isinstance(node, MapEntry):
+                self.emit_scope(state, node, self._order.get(node, []))
+            elif isinstance(node, Tasklet):
+                self.emit_tasklet_inline(state, node)
+            else:  # MatMul / Outer: the call of their CPU expansion
+                out = next(e for e in state.out_edges(node) if e.src_conn == "_c")
+                self.emit_tasklet_inline(state, node, mkl_code(node, out))
+        if len(self.lines) == body_start:
+            self.emit("pass")
+        del self._loop_params[len(self._loop_params) - len(params):]
+        self._indent = indent
+        clash = [p for p in params if p in self.bound or p in self._loop_params]
+        if clash:
+            uid = self.uid()
+            rename = {p: f"__p{uid}_{p}" for p in clash}
+            base = "    " * indent
+            tree = ast.parse("\n".join(line[len(base):]
+                                       for line in self.lines[start:]))
+            tree = _ScalarRewrite(rename).visit(tree)
+            self.lines[start:] = [base + line for line in
+                                  ast.unparse(tree).splitlines()]
+
+    def _allocate_in_loop(self, state, entry: MapEntry,
+                          params: List[str]) -> None:
+        """(Re)allocate, at the top of the loop body, each transient the
+        scope uses whose shape names one of *params* and no variable of a
+        loop nested deeper."""
+        names: set = set()
+        inner: set = set()
+        stack = [entry]
+        while stack:
+            scope = stack.pop()
+            for node in self._order.get(scope, []):
+                if isinstance(node, AccessNode):
+                    names.add(node.data)
+                elif isinstance(node, MapEntry):
+                    inner.update(node.map.params)
+                    stack.append(node)
+                for edge in state.out_edges(node):
+                    if not edge.memlet.is_empty():
+                        names.add(edge.memlet.data)
+        for name in sorted(names & self.dynamic_transients):
+            desc = self.sdfg.arrays[name]
+            shape_syms = {s.name for s in desc.free_symbols}
+            if shape_syms.intersection(params) and not shape_syms & inner:
+                self.emit_alloc(name)
+                self.loop_allocated.add(name)
+
+    def emit_alloc(self, name: str) -> None:
+        """(Re)allocate transient *name* to its shape under the live
+        symbols; storage of that shape already in ``__c`` is kept, as the
+        interpreter keeps it."""
+        shape = ", ".join(f"({s})" for s in self.sdfg.arrays[name].shape)
+        self.emit(f"{name} = __c[{name!r}] = __alloc_shaped("
+                  f"{name!r}, ({shape},), __c)")
 
     def _try_vector_scope(self, state, entry: MapEntry,
                           body: List[Node]) -> bool:
@@ -1076,28 +1224,51 @@ class _Generator:
                 f"{shape_var})")
 
     # ------------------------------------------------------------- copies
-    def emit_copy(self, state, edge) -> None:
-        src_desc = self.sdfg.arrays[edge.src.data]
-        dst_desc = self.sdfg.arrays[edge.dst.data]
+    @staticmethod
+    def _copies(state, node: AccessNode):
+        """The copies the interpreter performs when it visits *node*, as
+        ``(edge, source, destination)`` container names: into it from
+        another access node or from outside the enclosing scope (a
+        ``MapEntry``, along the memlet path), and out of the scope (to a
+        ``MapExit``)."""
+        for edge in state.in_edges(node):
+            if edge.memlet.is_empty():
+                continue
+            if isinstance(edge.src, AccessNode):
+                yield edge, edge.src.data, node.data
+            elif isinstance(edge.src, MapEntry):
+                yield edge, state.memlet_path(edge)[0].src.data, node.data
+        for edge in state.out_edges(node):
+            if isinstance(edge.dst, MapExit) and not edge.memlet.is_empty():
+                yield edge, node.data, state.memlet_path(edge)[-1].dst.data
+
+    def emit_copies(self, state, node: AccessNode) -> None:
+        for edge, src, dst in self._copies(state, node):
+            self.emit_copy(state, edge, src, dst)
+
+    def emit_copy(self, state, edge, src: str, dst: str) -> None:
+        """Copy along *edge* from container *src* to container *dst*."""
+        src_desc = self.sdfg.arrays[src]
+        dst_desc = self.sdfg.arrays[dst]
         if isinstance(src_desc, Stream) or isinstance(dst_desc, Stream):
             self.node_fallback(state, edge.dst)
             return
         memlet = edge.memlet
-        if memlet.data == edge.src.data:
+        if memlet.data == src:
             src_subset, dst_subset = memlet.subset, memlet.other_subset
         else:
             src_subset, dst_subset = memlet.other_subset, memlet.subset
-        src_code = (f"{edge.src.data}[{self.subset_slices_code(src_subset, src_desc)}]"
-                    if src_subset is not None else edge.src.data)
-        dst_code = (f"{edge.dst.data}[{self.subset_slices_code(dst_subset, dst_desc)}]"
-                    if dst_subset is not None else edge.dst.data)
+        src_code = (f"{src}[{self.subset_slices_code(src_subset, src_desc)}]"
+                    if src_subset is not None else src)
+        dst_code = (f"{dst}[{self.subset_slices_code(dst_subset, dst_desc)}]"
+                    if dst_subset is not None else dst)
         uid = self.uid()
         if self.sanitize:
             if src_subset is not None and not isinstance(src_desc, Scalar):
-                self.emit(f"__guard_read({edge.src.data!r}, {edge.src.data}, "
+                self.emit(f"__guard_read({src!r}, {src}, "
                           f"{self.subset_slices_code(src_subset, src_desc)})")
             if dst_subset is not None and not isinstance(dst_desc, Scalar):
-                self.emit(f"__guard_read({edge.dst.data!r}, {edge.dst.data}, "
+                self.emit(f"__guard_read({dst!r}, {dst}, "
                           f"{self.subset_slices_code(dst_subset, dst_desc)})")
         self.emit(f"__cp{uid} = np.asarray({src_code})")
         target = f"__dst{uid}"
@@ -1114,12 +1285,11 @@ class _Generator:
     def emit_state(self, state) -> None:
         # one scope analysis per state: every map scope takes its body from
         # the same topological order
-        order = state.scope_order()
+        order = self._order = state.scope_order()
+        self.loop_allocated = set()
         for node in order.get(None, []):
             if isinstance(node, AccessNode):
-                for edge in state.in_edges(node):
-                    if isinstance(edge.src, AccessNode) and not edge.memlet.is_empty():
-                        self.emit_copy(state, edge)
+                self.emit_copies(state, node)
                 continue
             if isinstance(node, Tasklet):
                 if self._tasklet_inlineable(state, node):
@@ -1193,7 +1363,7 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False
     # loop-symbol-dependent shapes (re)allocate in the states that use them.
     # A checkpoint resume passes pre-populated transients in __c — reuse
     # them instead of zero-allocating.
-    dynamic_transients = set()
+    dynamic_transients = gen.dynamic_transients
     entry_syms = set(sdfg.free_symbols)
     for name, desc in sdfg.arrays.items():
         if desc.transient:
@@ -1210,10 +1380,13 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False
             lines.append(f"    {name} = __c[{name!r}]")
     # registered symbols plus free ones that only appear in map ranges or
     # memlet subsets (never registered through a shape)
-    for sym in sorted(set(sdfg.symbols) | set(sdfg.free_symbols)):
+    for sym in sorted(set(sdfg.symbols) | entry_syms):
         lines.append(f"    if {sym!r} in __s: {sym} = __s[{sym!r}]")
     for name, value in sdfg.constants.items():
         lines.append(f"    {name} = __const[{name!r}]")
+    gen.bound.update(sdfg.arrays, sdfg.symbols, entry_syms, sdfg.constants)
+    for isedge in sdfg.edges():
+        gen.bound.update(isedge.data.assignments)
 
     lines.append(f"    __state = {index.get(sdfg.start_state, 0)} "
                  "if __start is None else __start")
@@ -1229,11 +1402,16 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False
         if instrument:
             gen.emit(f"__st{si} = __prof_now()")
         start = len(lines)
-        for name in sorted(_containers_in_state(state) & dynamic_transients):
-            shape = ", ".join(f"({s})" for s in sdfg.arrays[name].shape)
-            gen.emit(f"{name} = __c[{name!r}] = __alloc_shaped("
-                     f"{name!r}, ({shape},))")
         gen.emit_state(state)
+        # containers sized by loop-carried symbols are allocated on each
+        # visit, ahead of the state's body (a loop nest allocates those its
+        # variables size)
+        body = lines[start:]
+        del lines[start:]
+        for name in sorted(_containers_in_state(state) & dynamic_transients
+                           - gen.loop_allocated):
+            gen.emit_alloc(name)
+        lines.extend(body)
         if len(lines) == start:
             lines.append("            pass")
         if instrument:
@@ -1359,9 +1537,12 @@ def _exec_module(sdfg, source: str, closures: Dict[str, object],
     namespace["__alloc"] = lambda name, symbols: allocate_container(
         sdfg.arrays[name], symbols)
 
-    def _alloc_shaped(name, shape):
-        desc = sdfg.arrays[name]
-        return np.zeros(tuple(int(s) for s in shape), dtype=desc.dtype.nptype)
+    def _alloc_shaped(name, shape, containers):
+        shape = tuple(int(s) for s in shape)
+        existing = containers.get(name)
+        if existing is not None and existing.shape == shape:
+            return existing
+        return np.zeros(shape, dtype=sdfg.arrays[name].dtype.nptype)
 
     namespace["__alloc_shaped"] = _alloc_shaped
     compiled = compile(source, f"<sdfg {sdfg.name}>", "exec")

@@ -17,7 +17,7 @@ from ..ir.nodes import LibraryNode
 from ..symbolic import Range
 from .registry import register_expansion, set_priority
 
-__all__ = ["MatMul", "Outer"]
+__all__ = ["MatMul", "Outer", "mkl_code"]
 
 
 class MatMul(LibraryNode):
@@ -95,11 +95,19 @@ def _scalarize_if_point(code: str, out_edge, var: str) -> str:
     return code
 
 
+def mkl_code(node: LibraryNode, out_edge) -> str:
+    """The tasklet code of a MatMul/Outer node's CPU (MKL) expansion, given
+    its ``_c`` output edge: the code generator emits the same call for a
+    node it lowers in place."""
+    call = "np.outer" if isinstance(node, Outer) else "np.matmul"
+    return _scalarize_if_point(f"_c = {call}(_a, _b)", out_edge, "_c")
+
+
 @register_expansion(MatMul, "MKL")
 def _expand_matmul_mkl(node: MatMul, sdfg, state):
     """Fast-library call: a tasklet invoking the optimized BLAS (NumPy/MKL)."""
     ins, outs = _io_edges(state, node)
-    code = _scalarize_if_point("_c = np.matmul(_a, _b)", outs["_c"], "_c")
+    code = mkl_code(node, outs["_c"])
     tasklet = state.add_tasklet(f"{node.label}_mkl", {"_a", "_b"}, {"_c"}, code)
     state.add_edge(ins["_a"].src, ins["_a"].src_conn, tasklet, "_a", ins["_a"].memlet)
     state.add_edge(ins["_b"].src, ins["_b"].src_conn, tasklet, "_b", ins["_b"].memlet)
@@ -255,7 +263,7 @@ def _expand_outer_native(node: Outer, sdfg, state):
 @register_expansion(Outer, "MKL")
 def _expand_outer_mkl(node: Outer, sdfg, state):
     ins, outs = _io_edges(state, node)
-    code = _scalarize_if_point("_c = np.outer(_a, _b)", outs["_c"], "_c")
+    code = mkl_code(node, outs["_c"])
     tasklet = state.add_tasklet(f"{node.label}_mkl", {"_a", "_b"}, {"_c"}, code)
     state.add_edge(ins["_a"].src, ins["_a"].src_conn, tasklet, "_a", ins["_a"].memlet)
     state.add_edge(ins["_b"].src, ins["_b"].src_conn, tasklet, "_b", ins["_b"].memlet)

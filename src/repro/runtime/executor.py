@@ -9,6 +9,7 @@ tested against; it favors clarity over speed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -245,28 +246,31 @@ class _Context:
         self.containers = containers
         self.symbols = symbols
 
-    def storage(self, name: str):
+    def storage(self, name: str, env: Optional[Dict[str, Any]] = None):
+        """The storage of container *name*, (re)allocated to its shape
+        under *env* (the symbols plus any enclosing map parameters)."""
+        env = self.symbols if env is None else env
         desc = self.sdfg.arrays[name]
         existing = self.containers.get(name)
         if existing is None:
-            existing = self.containers[name] = allocate_container(desc, self.symbols)
+            existing = self.containers[name] = allocate_container(desc, env)
             return existing
         # loop-dependent transient shapes (e.g. x[:i]) change between
         # iterations: reallocate when the evaluated shape differs
         if desc.transient and not isinstance(desc, (Scalar, Stream)) \
                 and desc.free_symbols:
             try:
-                shape = tuple(int(s.evaluate(self.symbols)) for s in desc.shape)
+                shape = tuple(int(s.evaluate(env)) for s in desc.shape)
             except KeyError:
                 return existing
             if getattr(existing, "shape", shape) != shape:
                 existing = self.containers[name] = allocate_container(
-                    desc, self.symbols)
+                    desc, env)
         return existing
 
 
 def _read(ctx: _Context, memlet: Memlet, env: Dict[str, Any]):
-    storage = ctx.storage(memlet.data)
+    storage = ctx.storage(memlet.data, env)
     desc = ctx.sdfg.arrays[memlet.data]
     if isinstance(desc, Stream):
         if not storage:
@@ -290,7 +294,7 @@ def _read(ctx: _Context, memlet: Memlet, env: Dict[str, Any]):
 
 
 def _write(ctx: _Context, memlet: Memlet, env: Dict[str, Any], value) -> None:
-    storage = ctx.storage(memlet.data)
+    storage = ctx.storage(memlet.data, env)
     desc = ctx.sdfg.arrays[memlet.data]
     if isinstance(desc, Stream):
         storage.append(value)
@@ -318,6 +322,12 @@ def _write(ctx: _Context, memlet: Memlet, env: Dict[str, Any], value) -> None:
             storage[slices] = value
 
 
+@functools.lru_cache(maxsize=4096)
+def _tasklet_code(code: str):
+    """The code object of tasklet source *code*, compiled once per text."""
+    return compile(code, "<tasklet>", "exec")
+
+
 def _execute_tasklet(ctx: _Context, state: SDFGState, node: Tasklet,
                      env: Dict[str, Any]) -> None:
     local: Dict[str, Any] = {}
@@ -329,7 +339,7 @@ def _execute_tasklet(ctx: _Context, state: SDFGState, node: Tasklet,
     tasklet_globals = dict(_TASKLET_GLOBALS)
     tasklet_globals.update(ctx.sdfg.constants)
     try:
-        exec(compile(node.code, f"<tasklet {node.label}>", "exec"), tasklet_globals, local)
+        exec(_tasklet_code(node.code), tasklet_globals, local)
     except Exception as exc:  # pragma: no cover - exercised via error tests
         raise ExecutionError(
             f"tasklet {node.label!r} failed: {exc}\ncode: {node.code}") from exc
@@ -381,7 +391,7 @@ def _execute_nested(ctx: _Context, state: SDFGState, node: NestedSDFG,
         if edge.memlet.is_empty() or edge.dst_conn is None:
             continue
         outer_desc = ctx.sdfg.arrays[edge.memlet.data]
-        storage = ctx.storage(edge.memlet.data)
+        storage = ctx.storage(edge.memlet.data, env)
         if isinstance(outer_desc, Stream):
             inner_containers[edge.dst_conn] = storage
             continue
@@ -397,7 +407,7 @@ def _execute_nested(ctx: _Context, state: SDFGState, node: NestedSDFG,
         if edge.memlet.is_empty() or edge.src_conn is None:
             continue
         outer_desc = ctx.sdfg.arrays[edge.memlet.data]
-        storage = ctx.storage(edge.memlet.data)
+        storage = ctx.storage(edge.memlet.data, env)
         if isinstance(outer_desc, (Stream, Scalar)):
             inner_containers.setdefault(edge.src_conn, storage)
             continue
@@ -533,8 +543,8 @@ def _copy_edge(ctx: _Context, edge, env: Dict[str, Any],
     dst_name = dst_name or edge.dst.data
     src_desc = ctx.sdfg.arrays[src_name]
     dst_desc = ctx.sdfg.arrays[dst_name]
-    src_storage = ctx.storage(src_name)
-    dst_storage = ctx.storage(dst_name)
+    src_storage = ctx.storage(src_name, env)
+    dst_storage = ctx.storage(dst_name, env)
     # Determine source and destination subsets from the memlet convention:
     # memlet.data names one side; other_subset (if present) the other side.
     if memlet.data == src_name:

@@ -455,3 +455,135 @@ class TestEmissionCensus:
         with Config.override(device__cpu_threads=4):
             source = compile_sdfg(sdfg, cache=False).source
         assert "__par_map" in source and "def __par_body" in source
+
+
+#: corpus kernels with map scopes the vectorizer declines
+LOOP_KERNELS = ["azimint_hist", "deriche", "doitgen", "gramschmidt",
+                "histogram", "mandelbrot1", "mandelbrot2", "resnet",
+                "softmax", "stockham_fft", "symm", "trmm"]
+
+
+class TestLoopScopes:
+    """A one-thread build emits every scope the vectorizer declines as a
+    Python loop nest, with no interpreter closure left."""
+
+    @staticmethod
+    def _compile(sdfg):
+        from repro.config import Config
+
+        with Config.override(device__cpu_threads=1):
+            return compile_sdfg(sdfg, cache=False)
+
+    @pytest.mark.parametrize("name", LOOP_KERNELS)
+    def test_matches_interpreter_bitwise(self, name):
+        from repro.config import Config
+
+        bench, sdfg = _optimized_corpus_graph(name)
+        compiled = self._compile(sdfg.clone())
+        assert not compiled.closure_specs
+        runs = []
+        with Config.override(device__cpu_threads=1):
+            for run in (compiled, lambda **kw: run_sdfg(sdfg.clone(), **kw),
+                        bench.reference):
+                args = bench.arguments("test")
+                ret = run(**args)
+                runs.append([args[o] for o in bench.outputs] if bench.outputs
+                            else [np.asarray(ret)])
+        compiled_out, interpreted, reference = runs
+        for got, want in zip(compiled_out, interpreted):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(compiled_out, reference):
+            assert np.allclose(got, want, rtol=1e-8, atol=1e-8), name
+
+    @pytest.mark.parametrize("name", ["softmax", "doitgen"])
+    def test_declined_scope_is_a_loop(self, name):
+        _bench, sdfg = _optimized_corpus_graph(name)
+        source = self._compile(sdfg).source
+        assert "for " in source
+        assert "__node" not in source
+        # point dimensions index or slice directly (doitgen's A[r, q, :])
+        assert "make_slice(" not in source and "np.squeeze(" not in source
+
+    @pytest.mark.parametrize("mode,marker", [("instrument", "__prof_add('map'"),
+                                             ("sanitize", "__guard_read(")])
+    def test_instrumented_and_sanitized_loops(self, mode, marker):
+        """The loop gets the vectorized scope's map timer, or keeps the
+        inlined tasklets' guards, and still computes the reference."""
+        from repro.config import Config
+
+        bench, sdfg = _optimized_corpus_graph("softmax")
+        with Config.override(device__cpu_threads=1):
+            compiled = compile_sdfg(sdfg, cache=False, **{mode: True})
+        assert marker in compiled.source and not compiled.closure_specs
+        args, ref = bench.arguments("test"), bench.arguments("test")
+        compiled(**args)
+        bench.reference(**ref)
+        assert np.allclose(args["out"], ref["out"], rtol=1e-8, atol=1e-8)
+
+    def test_inner_scope_still_vectorizes(self):
+        """symm's declined ``j`` scope holds two element-wise scopes over
+        ``__i0``: they stay array statements inside the ``j`` loop."""
+        _bench, sdfg = _optimized_corpus_graph("symm")
+        source = self._compile(sdfg).source
+        loops = [line.strip() for line in source.splitlines()
+                 if line.strip().startswith("for ")]
+        assert len(loops) == 1 and "_j in range(N)" in loops[0]
+        assert "np.add(" in source and "out=C[" in source
+
+    def test_loop_variable_keeps_symbol(self):
+        """A map parameter named like a symbol a later state reads: the
+        loop variable is renamed, and the symbol keeps its value."""
+        from repro.ir import SDFG, InterstateEdge, Memlet
+
+        sdfg = SDFG("shadow")
+        sdfg.add_symbol("i")
+        sdfg.add_array("A", (N,), repro.float64)
+        sdfg.add_array("out", (1,), repro.float64)
+        init = sdfg.add_state("init", is_start_state=True)
+        fill = sdfg.add_state("fill")
+        read = sdfg.add_state("read")
+        sdfg.add_edge(init, fill, InterstateEdge(assignments={"i": "7"}))
+        sdfg.add_edge(fill, read, InterstateEdge())
+        fill.add_mapped_tasklet("fill", {"i": "0:N"}, {}, "__out = 1.0 * i",
+                                {"__out": Memlet("A", "i")})
+        tasklet = read.add_tasklet("read", set(), {"__out"}, "__out = 1.0 * i")
+        read.add_edge(tasklet, "__out", read.add_write("out"), None,
+                      Memlet("out", "0"))
+        compiled = self._compile(sdfg)
+        assert "for i in" not in compiled.source
+        for run in (compiled, lambda **kw: run_sdfg(sdfg, **kw)):
+            A, out = np.zeros(5), np.zeros(1)
+            run(A=A, out=out)
+            np.testing.assert_array_equal(A, np.arange(5.0))
+            assert out[0] == 7.0
+
+    def test_transient_sized_by_parameter(self):
+        """A scope transient whose shape names the map parameter is
+        allocated inside the loop, once per iteration."""
+        from repro.ir import SDFG, Memlet
+
+        i = repro.symbol("i")
+        sdfg = SDFG("prefix_sums")
+        sdfg.add_array("B", (N,), repro.float64)
+        sdfg.add_array("T", (i + 1,), repro.float64, transient=True)
+        state = sdfg.add_state()
+        entry, exit_ = state.add_map("m", ["i"], "0:N")
+        fill = state.add_tasklet("fill", set(), {"__o"},
+                                 "__o = np.arange(i + 1) * 1.0")
+        state.add_nedge(entry, fill)
+        tmp = state.add_access("T")
+        state.add_edge(fill, "__o", tmp, None, Memlet("T", "0:i+1"))
+        total = state.add_tasklet("sum", {"__t"}, {"__s"}, "__s = np.sum(__t)")
+        state.add_edge(tmp, None, total, "__t", Memlet("T", "0:i+1"))
+        exit_.add_in_connector("IN_B")
+        exit_.add_out_connector("OUT_B")
+        state.add_edge(total, "__s", exit_, "IN_B", Memlet("B", "i"))
+        state.add_edge(exit_, "OUT_B", state.add_write("B"), None,
+                       Memlet("B", "0:N"))
+        compiled = self._compile(sdfg)
+        body = compiled.source.split("for ", 1)[1]
+        assert "__alloc_shaped('T'" in body
+        for run in (compiled, lambda **kw: run_sdfg(sdfg, **kw)):
+            B = np.zeros(5)
+            run(B=B)
+            np.testing.assert_array_equal(B, [0.0, 1.0, 3.0, 6.0, 10.0])

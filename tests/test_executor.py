@@ -80,6 +80,32 @@ class TestMaps:
         assert out[0] == 9.0
 
 
+class TestTaskletCode:
+    def test_mapped_tasklet_compiles_once(self, monkeypatch):
+        """The interpreter compiles a tasklet's code once, not per point."""
+        from repro.runtime import executor
+
+        calls = []
+
+        def counting_compile(*args, **kwargs):
+            calls.append(args[0])
+            return compile(*args, **kwargs)
+
+        executor._tasklet_code.cache_clear()
+        monkeypatch.setattr(executor, "compile", counting_compile,
+                            raising=False)
+        sdfg = SDFG("compile_once")
+        sdfg.add_array("A", (N,), repro.float64)
+        state = sdfg.add_state()
+        state.add_mapped_tasklet("m", {"i": "0:N"}, {},
+                                 "__out = 0.5 * i + 0.25",
+                                 {"__out": Memlet("A", "i")})
+        A = np.zeros(64)
+        run_sdfg(sdfg, A=A)
+        np.testing.assert_array_equal(A, 0.5 * np.arange(64) + 0.25)
+        assert calls == ["__out = 0.5 * i + 0.25"]
+
+
 class TestControlFlow:
     def _loop_sdfg(self):
         sdfg = SDFG("loop")
@@ -357,13 +383,12 @@ class TestInferSymbolErrorsCompiled(_ThroughTheArtifact,
 class TestScalarSymbolBindingCompiled(_ThroughTheArtifact,
                                       TestScalarSymbolBinding):
     def test_shapeless_program_executes(self):
-        # executing it stays the interpreter's test: a fallback closure of
-        # the generated module drops container names from its environment,
-        # so a scalar container named like its symbol does not run there
-        # (as at the parent commit).  Binding it is what differs by spelling.
         from repro.codegen import compile_sdfg
 
         compiled = compile_sdfg(self._shapeless(), cache=False)
         containers, symbols = compiled.convention.bind(
             (), {"N": 5, "out": np.zeros(1)})
         assert symbols == {"N": 5} and containers["N"][0] == 5
+        out = np.zeros(1)
+        compiled(N=5, out=out)
+        assert out[0] == 10
