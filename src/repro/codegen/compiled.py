@@ -14,6 +14,7 @@ was created.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, Optional, Tuple
 
@@ -56,6 +57,9 @@ class CompiledSDFG:
         #: (consumed by the device performance models)
         self.last_state_visits: Dict[int, int] = {}
         self.last_symbols: Dict[str, int] = {}
+        #: the dispatcher module a resume at a state index runs
+        self._resume = None
+        self._resume_lock = threading.Lock()
 
     def __call__(self, *args, **kwargs):
         return self.run_prepared(*self.convention.bind(args, kwargs))
@@ -68,8 +72,10 @@ class CompiledSDFG:
 
         ``start_state`` is an index into ``sdfg.topological_states()`` — the
         numbering the generated module and the distributed checkpointer
-        share.  Containers may include pre-populated transients (restored
-        from a snapshot); they are reused instead of zero-allocated.
+        share.  A resume runs the ``while __state`` dispatcher module,
+        generated from this artifact's graph on first use and never cached.
+        Containers may include pre-populated transients (restored from a
+        snapshot); they are reused instead of zero-allocated.
 
         This call's state-visit counts land in *visits* when given;
         ``last_state_visits``/``last_symbols`` are for single-threaded
@@ -77,10 +83,23 @@ class CompiledSDFG:
         """
         if visits is None:
             visits = {}
-        self._run(containers, symbols, visits, start_state)
+        if start_state is None:
+            self._run(containers, symbols, visits)
+        else:
+            self._resume_module()(containers, symbols, visits, start_state)
         self.last_state_visits = visits
         self.last_symbols = dict(symbols)
         return self.convention.collect(containers)
+
+    def _resume_module(self):
+        with self._resume_lock:
+            if self._resume is None:
+                from .pygen import generate_payload
+
+                self._resume = generate_payload(
+                    self.sdfg, instrument=self.instrumented,
+                    sanitize=self.sanitized, dispatcher=True)[0]
+        return self._resume
 
     def save_source(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -279,6 +280,9 @@ class _Generator:
         #: loop variables of the generated loop nests being emitted,
         #: outermost first
         self._loop_params: List[str] = []
+        #: bindings the loop nest being emitted hoists ahead of its
+        #: outermost ``for`` (None outside loop nests)
+        self._hoisted: Optional[List[str]] = None
         #: names the module binds in ``__run`` (containers, symbols,
         #: constants): a loop variable must not overwrite one
         self.bound: set = set()
@@ -431,21 +435,7 @@ class _Generator:
         code = node.code if code is None else code
         tid = self.uid()
         rename: Dict[str, str] = {}
-        for edge in state.in_edges(node):
-            if edge.memlet.is_empty() or edge.dst_conn is None:
-                continue
-            var = f"__t{tid}_{edge.dst_conn}"
-            rename[edge.dst_conn] = var
-            self.emit_read_guard(edge.memlet)
-            self.emit(f"{var} = {self.read_code(edge.memlet)}")
-        out_vars = {}
-        for edge in state.out_edges(node):
-            if edge.memlet.is_empty() or edge.src_conn is None:
-                continue
-            var = f"__t{tid}_{edge.src_conn}"
-            rename.setdefault(edge.src_conn, var)
-            out_vars[edge.src_conn] = rename[edge.src_conn]
-        # rename locals too (avoid collisions across tasklets)
+        # locals are renamed too (avoid collisions across tasklets)
         tree = ast.parse(code)
         local_names = set()
         for sub in ast.walk(tree):
@@ -455,6 +445,29 @@ class _Generator:
                 for t in ast.walk(sub.target):
                     if isinstance(t, ast.Name):
                         local_names.add(t.id)
+        for edge in state.in_edges(node):
+            if edge.memlet.is_empty() or edge.dst_conn is None:
+                continue
+            var = f"__t{tid}_{edge.dst_conn}"
+            rename[edge.dst_conn] = var
+            read = self.read_code(edge.memlet)
+            if self._hoisted is not None and read == edge.memlet.data \
+                    and edge.dst_conn not in local_names \
+                    and not self.sanitize \
+                    and not self.sdfg.arrays[read].transient:
+                # a whole argument array: the same object at every
+                # iteration, bound once ahead of the loop nest
+                self._hoisted.append(f"{var} = {read}")
+                continue
+            self.emit_read_guard(edge.memlet)
+            self.emit(f"{var} = {read}")
+        out_vars = {}
+        for edge in state.out_edges(node):
+            if edge.memlet.is_empty() or edge.src_conn is None:
+                continue
+            var = f"__t{tid}_{edge.src_conn}"
+            rename.setdefault(edge.src_conn, var)
+            out_vars[edge.src_conn] = rename[edge.src_conn]
         for name in local_names:
             rename.setdefault(name, f"__t{tid}_{name}")
         into = self._library_destination(state, node, tree)
@@ -613,6 +626,9 @@ class _Generator:
         enclosing loop is renamed throughout the nest."""
         start, indent = len(self.lines), self._indent
         params = list(entry.map.params)
+        outermost = self._hoisted is None
+        if outermost:
+            self._hoisted = []
         for p, (b, e, s) in zip(params, entry.map.range.dims):
             bounds = [str(e + 1)]
             if b != 0 or s != 1:
@@ -648,6 +664,10 @@ class _Generator:
             tree = _ScalarRewrite(rename).visit(tree)
             self.lines[start:] = [base + line for line in
                                   ast.unparse(tree).splitlines()]
+        if outermost:
+            self.lines[start:start] = ["    " * indent + line
+                                       for line in self._hoisted]
+            self._hoisted = None
 
     def _allocate_in_loop(self, state, entry: MapEntry,
                           params: List[str]) -> None:
@@ -1307,17 +1327,16 @@ class _Generator:
 
 
 
-def _deref_scalars(expression: str, sdfg) -> str:
-    """Scalar containers referenced in interstate expressions read their
-    single element (matching the interpreter's condition environment)."""
-    import re as _re
-
-    for name, desc in sdfg.arrays.items():
-        if isinstance(desc, Scalar) and _re.search(rf"\b{_re.escape(name)}\b",
-                                                   expression):
-            expression = _re.sub(rf"\b{_re.escape(name)}\b(?!\[)",
-                                 f"{name}[0]", expression)
-    return expression
+def _scalar_deref(sdfg):
+    """The rewrite making scalar containers referenced in interstate
+    expressions read their single element (matching the interpreter's
+    condition environment)."""
+    names = [re.escape(name) for name, desc in sdfg.arrays.items()
+             if isinstance(desc, Scalar)]
+    if not names:
+        return lambda expression: expression
+    pattern = re.compile(rf"\b({'|'.join(names)})\b(?!\[)")
+    return lambda expression: pattern.sub(r"\1[0]", expression)
 
 
 def _containers_in_state(state) -> set:
@@ -1331,34 +1350,391 @@ def _containers_in_state(state) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Control-flow recovery
+# ---------------------------------------------------------------------------
+
+#: the exit of a region: the end of the run, or a loop's back edge or exit
+_EXIT = -1
+
+
+class _Unstructured(Exception):
+    """The state graph is not a nest of chains, loops and branches."""
+
+
+class _ControlFlow:
+    """The loops and branches of a state graph, recovered for emission as
+    Python control flow.  States are numbered as in
+    ``sdfg.topological_states()``; the graph is read, never ``loop_info``.
+
+    A *loop* is a state *h* that a back edge targets and that has exactly
+    one out edge leaving its natural loop, to the *follow* state.  Its body
+    is every state reachable from *h* without passing *h* or the follow,
+    and only *h* may be entered from outside it.  A *branch* state's arms
+    run to its immediate post-dominator in the innermost enclosing loop's
+    body, where a back edge, an edge to the follow and the end of the run
+    all reach the region's exit.  Each state is emitted at most once; a
+    graph that needs more (irreducible or otherwise unstructured control
+    flow) raises :class:`_Unstructured`.
+    """
+
+    def __init__(self, sdfg, states):
+        index = {s: i for i, s in enumerate(states)}
+        self.start = index.get(sdfg.start_state, 0)
+        #: per state, its out edges in dispatch order, up to the first one
+        #: that is always taken: ``(edge, destination)``
+        self.out: List[List[tuple]] = []
+        for state in states:
+            edges = sdfg.out_edges(state)
+            edges.sort(key=lambda e: e.data.is_unconditional())
+            arms = []
+            for edge in edges:
+                arms.append((edge.data, index[edge.dst]))
+                if not edge.data.condition:
+                    break
+            self.out.append(arms)
+        # depth-first search from the start: reached states, predecessors
+        # and back edges
+        preds: Dict[int, List[int]] = {self.start: []}
+        on_stack = {self.start: True}
+        back: List[Tuple[int, int]] = []
+        stack = [(self.start, iter(self.out[self.start]))]
+        while stack:
+            node, arms = stack[-1]
+            for _edge, dst in arms:
+                preds.setdefault(dst, []).append(node)
+                if dst not in on_stack:
+                    on_stack[dst] = True
+                    stack.append((dst, iter(self.out[dst])))
+                    break
+                if on_stack[dst]:
+                    back.append((node, dst))
+            else:
+                on_stack[node] = False
+                stack.pop()
+        self.reached = list(on_stack)
+        #: loop header -> (body states, follow state)
+        self.loops: Dict[int, Tuple[set, int]] = {}
+        for h in dict.fromkeys(dst for _src, dst in back):
+            natural = {h}
+            work = [src for src, dst in back if dst == h]
+            while work:
+                x = work.pop()
+                if x not in natural:
+                    natural.add(x)
+                    work.extend(preds[x])
+            follows = {d for _e, d in self.out[h] if d not in natural}
+            if len(follows) != 1:
+                raise _Unstructured
+            follow = follows.pop()
+            body = {h}
+            work = [d for _e, d in self.out[h]]
+            while work:
+                x = work.pop()
+                if x not in body and x != follow:
+                    body.add(x)
+                    work.extend(d for _e, d in self.out[x])
+            if self.start in body - {h} or any(
+                    p not in body for x in body - {h} for p in preds[x]):
+                raise _Unstructured  # entered other than through h
+            self.loops[h] = (body, follow)
+        self._pdoms: Dict[Optional[int], Dict[int, set]] = {}
+        self._emitted: set = set()
+
+    def plan(self) -> list:
+        """The program as nested instructions: ``("state", k)``,
+        ``("assign", edge)``, ``("loop", body)``, ``("if", arms,
+        terminal)`` with ``arms = [(edge, block)]`` in dispatch order and
+        *terminal* when no arm reaches a join, and the jumps
+        ``("continue",)``, ``("break",)``, ``("return",)``."""
+        return self._region(self.start, _EXIT, None)
+
+    def _region(self, x: int, stop: int, loop: Optional[int]) -> list:
+        """The instructions from state *x* up to *stop* inside *loop*."""
+        block: list = []
+        while x != stop:
+            if loop is not None and x == loop:
+                block.append(("continue",))
+                return block
+            if loop is not None and x == self.loops[loop][1]:
+                block.append(("break",))
+                return block
+            if x in self._emitted:
+                raise _Unstructured
+            self._emitted.add(x)
+            if x in self.loops:
+                body = [("state", x)]
+                if self._dispatch(x, x, body) is not None:
+                    raise _Unstructured
+                block.append(("loop", body))
+                x = self.loops[x][1]
+                continue
+            block.append(("state", x))
+            x = self._dispatch(x, loop, block)
+            if x is None:
+                return block
+        return block
+
+    def _dispatch(self, x: int, loop: Optional[int], block: list):
+        """Append the transitions out of *x*; return the state control
+        joins at, or None when every arm jumps."""
+        arms = self.out[x]
+        if not arms:
+            block.append(("return",))
+            return None
+        if len(arms) == 1 and not arms[0][0].condition:
+            block.append(("assign", arms[0][0]))
+            return arms[0][1]
+        join = self._ipdom(x, loop)
+        block.append(("if", [(edge, [("assign", edge)]
+                              + self._region(dst, join, loop))
+                             for edge, dst in arms], join == _EXIT))
+        return None if join == _EXIT else join
+
+    def _ipdom(self, x: int, loop: Optional[int]) -> int:
+        pdom = self._pdoms.get(loop)
+        if pdom is None:
+            pdom = self._pdoms[loop] = self._postdominators(loop)
+        rest = pdom[x] - {x}
+        for d in rest:
+            if len(pdom[d]) == len(rest):
+                return d
+        raise _Unstructured  # no path from x leaves the region
+
+    def _postdominators(self, loop: Optional[int]) -> Dict[int, set]:
+        if loop is None:
+            nodes, exits = self.reached, ()
+        else:
+            body, follow = self.loops[loop]
+            nodes, exits = list(body), (loop, follow)
+        succ = {x: [_EXIT if d in exits else d for _e, d in self.out[x]]
+                or [_EXIT] for x in nodes}
+        full = set(nodes) | {_EXIT}
+        pdom = {x: full for x in nodes}
+        pdom[_EXIT] = {_EXIT}
+        changed = True
+        while changed:
+            changed = False
+            for x in reversed(nodes):
+                new = set.intersection(*(pdom[d] for d in succ[x])) | {x}
+                if new != pdom[x]:
+                    pdom[x] = new
+                    changed = True
+        return pdom
+
+    def symbol_writes(self) -> Tuple[Dict[int, set], Dict[int, set]]:
+        """Per reached state: the symbols its in edges assign, and the
+        symbols every path to it has assigned."""
+        assigned = {x: set() for x in self.reached}
+        universe = set().union(*(edge.assignments for arms in self.out
+                                 for edge, _d in arms))
+        must = {x: set(universe) for x in self.reached}
+        must[self.start] = set()
+        changed = True
+        while changed:
+            changed = False
+            for x in self.reached:
+                for edge, d in self.out[x]:
+                    assigned[d].update(edge.assignments)
+                    new = must[d] & (must[x] | set(edge.assignments))
+                    if new != must[d]:
+                        must[d] = new
+                        changed = True
+        return assigned, must
+
+
+def _jumps(block: list) -> bool:
+    """Whether control never falls off the end of *block*."""
+    last = block[-1] if block else ("",)
+    return last[0] in ("continue", "break", "return") \
+        or (last[0] == "if" and last[2])
+
+
+def _empty(block: list) -> bool:
+    """Whether *block* emits nothing."""
+    return all(instr[0] == "assign" and not instr[1].assignments
+               for instr in block)
+
+
+def _size(block: list) -> int:
+    """The number of states *block* emits."""
+    n = 0
+    for instr in block:
+        if instr[0] == "state":
+            n += 1
+        elif instr[0] == "loop":
+            n += _size(instr[1])
+        elif instr[0] == "if":
+            n += sum(_size(arm) for _edge, arm in instr[1])
+    return n
+
+
+class _Structured:
+    """Renders a :class:`_ControlFlow` plan as the body of ``__run``.
+
+    Each state is preceded by its boundary, made only when the call carries
+    an execution context (after writing the symbols its in edges assign to
+    ``__s``), and by its visit counter."""
+
+    def __init__(self, sdfg, cf: _ControlFlow, states, bodies):
+        self.deref = _scalar_deref(sdfg)
+        self.states = states
+        self.bodies = bodies
+        self.assigned, self.must = cf.symbol_writes()
+        self.lines: List[str] = []
+
+    def emit(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def block(self, block: list, depth: int, tail: Optional[str]) -> None:
+        """Emit *block*; *tail* is the jump that falling off its end
+        amounts to (omitted when it is the block's last instruction)."""
+        start = len(self.lines)
+        for i, instr in enumerate(block):
+            last = i == len(block) - 1
+            kind = instr[0]
+            if kind == "state":
+                self.state(instr[1], depth)
+            elif kind == "assign":
+                self.assign(instr[1], depth)
+            elif kind == "loop":
+                self.emit(depth, "while True:")
+                self.block(instr[1], depth + 1, "continue")
+            elif kind == "if":
+                self.branch(instr[1], depth, tail if last else None)
+            elif not (last and kind == tail):
+                self.emit(depth, kind)
+        if len(self.lines) == start:
+            self.emit(depth, "pass")
+
+    def state(self, k: int, depth: int) -> None:
+        syms = sorted(self.assigned[k])
+        sync = "".join(f"__s[{s!r}] = {s}; " for s in syms
+                       if s in self.must[k])
+        maybe = [s for s in syms if s not in self.must[k]]
+        call = f"__boundary(__sdfg, {k}, __c, __s)"
+        if maybe:
+            self.emit(depth, "if __ctx is not None:")
+            for s in maybe:
+                self.emit(depth + 1, f"if {s} is not __unset: __s[{s!r}] = {s}")
+            self.emit(depth + 1, sync + call)
+        else:
+            self.emit(depth, f"if __ctx is not None: {sync}{call}")
+        self.emit(depth, f"__n{k} += 1  # {self.states[k].label}")
+        pad = "    " * depth
+        self.lines.extend(pad + line for line in self.bodies[k])
+
+    def assign(self, edge, depth: int) -> None:
+        if edge.assignments:
+            values = ", ".join(f"({self.deref(v)})"
+                               for v in edge.assignments.values())
+            self.emit(depth, f"{', '.join(edge.assignments)} = {values}")
+
+    def branch(self, arms, depth: int, tail: Optional[str]) -> None:
+        """Emit a state's conditional transitions in dispatch order; no arm
+        taken ends the run."""
+        conds = [self.deref(e.condition) if e.condition
+                 else None for e, _arm in arms]
+        blocks = [arm for _e, arm in arms]
+        inverse = None
+        if len(conds) == 2 and None not in conds and (
+                conds[1] == f"not ({conds[0]})"
+                or conds[0] == f"not ({conds[1]})"):
+            # the second arm runs exactly when the first does not
+            if _empty(blocks[0]):
+                self.emit(depth, f"if ({conds[1]}):")
+                self.block(blocks[1], depth + 1, tail)
+                return
+            inverse, conds[1] = conds[1], None
+        total = conds[-1] is None
+        falls = [i for i, arm in enumerate(blocks) if not _jumps(arm)]
+        if len(falls) > 1:
+            self.chain(conds, blocks, depth, tail, total)
+            return
+        # one arm (the one falling through, else the largest) is emitted
+        # unnested: the arms ahead of it jump, so plain `if`s dispatch them
+        # as `elif`s would, and the arms after it go under its negation
+        f = falls[0] if falls else max(range(len(blocks)),
+                                       key=lambda i: _size(blocks[i]))
+        for cond, arm in zip(conds[:f], blocks[:f]):
+            self.emit(depth, f"if ({cond}):")
+            self.block(arm, depth + 1, None)
+        if conds[f] is not None and inverse is not None:
+            self.emit(depth, f"if ({inverse}):")  # f is the first of the two
+            self.block(blocks[1], depth + 1, None)
+        elif conds[f] is not None:
+            self.emit(depth, f"if not ({conds[f]}):")
+            self.chain(conds[f + 1:], blocks[f + 1:], depth + 1, None, total)
+        self.block(blocks[f], depth, tail)
+
+    def chain(self, conds, blocks, depth: int, tail: Optional[str],
+              total: bool) -> None:
+        """``if``/``elif``/``else`` over the arms; ``else: return`` unless
+        one of them is always taken."""
+        for i, (cond, arm) in enumerate(zip(conds, blocks)):
+            if cond is None:
+                if i == 0:
+                    self.block(arm, depth, tail)
+                    return
+                if _empty(arm):
+                    return
+                self.emit(depth, "else:")
+            else:
+                self.emit(depth, f"{'elif' if i else 'if'} ({cond}):")
+            self.block(arm, depth + 1, tail)
+        if not total:
+            if not all(_jumps(arm) for arm in blocks):
+                self.emit(depth, "else:")
+                depth += 1
+            self.emit(depth, "return")
+
+
+# ---------------------------------------------------------------------------
 # Module assembly
 # ---------------------------------------------------------------------------
 
-def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False
+def _tuple(items) -> str:
+    items = list(items)
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False,
+                     dispatcher: bool = False
                      ) -> Tuple[object, str, Dict[str, Tuple[int, int]]]:
     """Generate the specialized module for an SDFG.
 
     Returns ``(run_callable, source, closure_specs)``: the callable takes
-    ``(containers, symbols)`` and executes the program; *closure_specs* maps
+    ``(containers, symbols, visits)`` and executes the program, adding its
+    per-state visit counts to *visits*; *closure_specs* maps
     interpreter-fallback closure names to positional ``(state, node)``
     indices so :func:`rehydrate_module` can rebuild the callable from cached
     source without re-generating it.
 
+    The state machine becomes Python control flow (:class:`_ControlFlow`);
+    a graph whose control flow is not recovered, and any graph with
+    ``dispatcher=True``, runs in a ``while __state`` dispatch loop instead,
+    whose callable also takes a start state (a checkpoint resume).  Either
+    way the module makes the state-boundary call
+    (:func:`repro.runtime.context.boundary`) before each state visit when
+    the call carries an execution context, and none when it does not.
+
     With ``instrument=True`` the module carries per-state and per-map-scope
     timing hooks that report to :mod:`repro.instrumentation`; with
     ``sanitize=True`` it carries index-bounds and NaN/Inf guard calls that
-    report to :mod:`repro.sanitizer.guards`.  Every module makes one
-    ``__boundary`` call per state visit
-    (:func:`repro.runtime.context.boundary`), which is all that deadlines
-    and checkpointing need of it.
+    report to :mod:`repro.sanitizer.guards`.
     """
     gen = _Generator(sdfg, instrument=instrument, sanitize=sanitize)
     states = sdfg.topological_states()
-    index = {s: i for i, s in enumerate(states)}
+    cf = plan = None
+    if not dispatcher:
+        try:
+            cf = _ControlFlow(sdfg, states)
+            plan = cf.plan()
+        except _Unstructured:
+            plan = None
 
     lines = gen.lines
-    lines.append("def __run(__c, __s, __visits=None, __start=None):")
-    lines.append("    if __visits is None: __visits = {}")
+    lines.append("def __run(__c, __s, __visits, __start=None):"
+                 if plan is None else "def __run(__c, __s, __visits):")
     # containers: transients with entry-known shapes allocate up front;
     # loop-symbol-dependent shapes (re)allocate in the states that use them.
     # A checkpoint resume passes pre-populated transients in __c — reuse
@@ -1378,65 +1754,93 @@ def generate_payload(sdfg, instrument: bool = False, sanitize: bool = False
     for name, desc in sdfg.arrays.items():
         if not desc.transient:
             lines.append(f"    {name} = __c[{name!r}]")
+    assigned = sorted({k for isedge in sdfg.edges()
+                       for k in isedge.data.assignments})
+    gen.bound.update(sdfg.arrays, sdfg.symbols, entry_syms, sdfg.constants,
+                     assigned)
     # registered symbols plus free ones that only appear in map ranges or
-    # memlet subsets (never registered through a shape)
-    for sym in sorted(set(sdfg.symbols) | entry_syms):
-        lines.append(f"    if {sym!r} in __s: {sym} = __s[{sym!r}]")
+    # memlet subsets (never registered through a shape); the structured
+    # module binds every assigned symbol, to __unset until it is assigned
+    for sym in sorted(set(sdfg.symbols) | entry_syms | set(assigned)):
+        if plan is not None and sym in assigned:
+            lines.append(f"    {sym} = __s.get({sym!r}, __unset)")
+        else:
+            lines.append(f"    if {sym!r} in __s: {sym} = __s[{sym!r}]")
     for name, value in sdfg.constants.items():
         lines.append(f"    {name} = __const[{name!r}]")
-    gen.bound.update(sdfg.arrays, sdfg.symbols, entry_syms, sdfg.constants)
-    for isedge in sdfg.edges():
-        gen.bound.update(isedge.data.assignments)
 
-    lines.append(f"    __state = {index.get(sdfg.start_state, 0)} "
-                 "if __start is None else __start")
-    lines.append("    while __state >= 0:")
-    # the state boundary: budget tick + checkpoint hook, one thread-local
-    # read when the thread carries no execution context
-    lines.append("        __boundary(__sdfg, __state, __c, __s)")
-    lines.append("        __visits[__state] = __visits.get(__state, 0) + 1")
-    for state in states:
-        si = index[state]
-        lines.append(f"        if __state == {si}:  # {state.label}")
-        gen._indent = 3
-        if instrument:
-            gen.emit(f"__st{si} = __prof_now()")
+    # state bodies, at depth 0; containers sized by loop-carried symbols
+    # are allocated on each visit, ahead of the state's body (a loop nest
+    # allocates those its variables size)
+    bodies: List[List[str]] = []
+    gen._indent = 0
+    for si, state in enumerate(states):
         start = len(lines)
         gen.emit_state(state)
-        # containers sized by loop-carried symbols are allocated on each
-        # visit, ahead of the state's body (a loop nest allocates those its
-        # variables size)
         body = lines[start:]
         del lines[start:]
+        if instrument:
+            gen.emit(f"__st{si} = __prof_now()")
         for name in sorted(_containers_in_state(state) & dynamic_transients
                            - gen.loop_allocated):
             gen.emit_alloc(name)
         lines.extend(body)
-        if len(lines) == start:
-            lines.append("            pass")
         if instrument:
             gen.emit(f"__prof_add('state', {state.label!r}, "
                      f"__prof_now() - __st{si})")
+        bodies.append(lines[start:])
+        del lines[start:]
+
+    if plan is None:
+        _dispatch_loop(sdfg, states, bodies, lines)
+    else:
+        counts = _tuple(f"__n{k}" for k in range(len(states)))
+        lines.append("    __ctx = __current()")
+        lines.append("    " + " = ".join(f"__n{k}" for k in range(len(states)))
+                     + " = 0")
+        lines.append("    try:")
+        out = _Structured(sdfg, cf, states, bodies)
+        out.block(plan, 2, "return")
+        lines.extend(out.lines)
+        lines.append("    finally:")
+        lines.append(f"        __finish(__visits, {counts}, __s, "
+                     f"{_tuple(repr(s) for s in assigned)}, {_tuple(assigned)})")
+
+    source = "\n".join(lines) + "\n"
+    run = _exec_module(sdfg, source, gen.closures, instrument=instrument,
+                       sanitize=sanitize)
+    return run, source, _closure_specs(sdfg, gen.closure_nodes)
+
+
+def _dispatch_loop(sdfg, states, bodies, lines: List[str]) -> None:
+    """The ``while __state`` dispatcher: one boundary call and visit count
+    per state visit, then the state's body and its transitions, each
+    assignment written through to ``__s``."""
+    index = {s: i for i, s in enumerate(states)}
+    deref = _scalar_deref(sdfg)
+    lines.append(f"    __state = {index.get(sdfg.start_state, 0)} "
+                 "if __start is None else __start")
+    lines.append("    while __state >= 0:")
+    lines.append("        __boundary(__sdfg, __state, __c, __s)")
+    lines.append("        __visits[__state] = __visits.get(__state, 0) + 1")
+    for si, state in enumerate(states):
+        lines.append(f"        if __state == {si}:  # {state.label}")
+        lines.extend("            " + line for line in bodies[si] or ["pass"])
         # transitions (scalar containers are dereferenced to their value)
         out = sdfg.out_edges(state)
         out.sort(key=lambda e: e.data.is_unconditional())
         for isedge in out:
-            cond = _deref_scalars(isedge.data.condition or "True", sdfg)
+            cond = deref(isedge.data.condition or "True")
             lines.append(f"            if ({cond}):")
             for i, (k_, v_) in enumerate(isedge.data.assignments.items()):
                 lines.append(
-                    f"                __a{i} = ({_deref_scalars(v_, sdfg)})")
+                    f"                __a{i} = ({deref(v_)})")
             for i, (k_, v_) in enumerate(isedge.data.assignments.items()):
                 # write-through to the symbols dict keeps __s a faithful
                 # image of the live loop symbols (checkpoint capture/resume)
                 lines.append(f"                {k_} = __s[{k_!r}] = __a{i}")
             lines.append(f"                __state = {index[isedge.dst]}; continue")
         lines.append("            __state = -1; continue")
-
-    source = "\n".join(lines) + "\n"
-    run = _exec_module(sdfg, source, gen.closures, instrument=instrument,
-                       sanitize=sanitize)
-    return run, source, _closure_specs(sdfg, gen.closure_nodes)
 
 
 def rehydrate_module(sdfg, source: str, closure_specs: Dict[str, Sequence[int]],
@@ -1487,17 +1891,35 @@ def _closure_specs(sdfg, closure_nodes: Dict[str, tuple]) -> Dict[str, Tuple[int
     return specs
 
 
+#: the value of a symbol the run has not assigned yet
+_UNSET = object()
+
+
+def _finish(visits, counts, symbols, names, values) -> None:
+    """The exit of a structured module: add its per-state visit counts to
+    *visits* and write the symbols it assigned to *symbols*."""
+    for k, n in enumerate(counts):
+        if n:
+            visits[k] = visits.get(k, 0) + n
+    for name, value in zip(names, values):
+        if value is not _UNSET:
+            symbols[name] = value
+
+
 def _exec_module(sdfg, source: str, closures: Dict[str, object],
                  instrument: bool, sanitize: bool):
     """Exec generated *source* in its execution namespace; return ``__run``."""
     import math as _math
 
-    from ..runtime.context import boundary
+    from ..runtime.context import boundary, current
     from ..runtime.executor import allocate_container
     from ..runtime.parallel import parallel_map
 
     namespace: Dict[str, object] = {
         "__boundary": boundary,
+        "__current": current,
+        "__unset": _UNSET,
+        "__finish": _finish,
         "__sdfg": sdfg,
         "__par_map": parallel_map,
         "np": np,

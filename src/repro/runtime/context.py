@@ -7,10 +7,11 @@ package's only ``threading.local`` slot.  A thread that runs nothing special
 has no context at all: :func:`current` is one attribute read returning
 ``None``, and every check site branches on that.
 
-Both execution engines — the generated module's ``__run`` loop and the
+Both execution engines — the generated module's ``__run`` and the
 reference interpreter's state loop — call :func:`boundary` before each
-state executes.  It reads the context once; only when one is installed does
-it tick the budget and fire the checkpoint hook.  That call is all the
+state executes; a generated module reads the context once per call and
+makes no call at all when there is none.  It reads the context once; only
+when one is installed does it tick the budget and fire the checkpoint hook.  That call is all the
 governor and the checkpointer need from the engines, so neither has a code
 generation variant of its own.
 

@@ -388,8 +388,14 @@ def _parallel_scope(ctx, state, entry, env: Dict[str, Any],
 
     from .executor import _Context, _execute_level
 
-    # materialize WCR targets now so the merge has storage to combine into
+    # materialize WCR targets now so the merge has storage to combine into,
+    # and every other output at its current shape, so the chunks share it
+    # instead of each (re)allocating a private copy (durbin's flip writes a
+    # transient sized by the loop variable k)
     bases = {name: ctx.storage(name) for name in wcr_outs}
+    for edge in state.in_edges(exit_):
+        if not edge.memlet.is_empty() and edge.memlet.data not in wcr_outs:
+            ctx.storage(edge.memlet.data, env)
     body = scope_order[entry]
     params = list(entry.map.params)
     rest_iter = iteration[1:]

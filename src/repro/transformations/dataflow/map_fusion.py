@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ...ir.data import Scalar
 from ...ir.memlet import Memlet
 from ...ir.nodes import AccessNode, MapEntry, MapExit, Tasklet
-from ...symbolic import Range, Symbol
+from ...symbolic import Integer, Range, Symbol, definitely_eq
 from ..base import Transformation
 
 __all__ = ["GreedySubgraphFusion"]
@@ -57,6 +57,29 @@ def _rename_code(code: str, mapping: Dict[str, str]) -> str:
         if old != new:
             code = re.sub(rf"\b{re.escape(old)}\b", new, code)
     return code
+
+
+def _pointwise(a: Optional[Range], b: Optional[Range], params: set) -> bool:
+    """Whether point subsets *a* and *b* of one container can meet only at
+    the same map point: a parameter-free dimension differs by a nonzero
+    constant (they never meet), or they are equal and give every parameter
+    its own dimension ``p + c`` (each point has its own element)."""
+    if a is None or b is None or len(a.dims) != len(b.dims) \
+            or not all(definitely_eq(begin, end) is True
+                       for sub in (a, b) for begin, end, _step in sub.dims):
+        return False
+    pa = [begin for begin, _end, _step in a.dims]
+    pb = [begin for begin, _end, _step in b.dims]
+    for x, y in zip(pa, pb):
+        if not {s.name for s in x.free_symbols | y.free_symbols} & params:
+            diff = x - y
+            if isinstance(diff, Integer) and diff != 0:
+                return True
+    if any(x != y for x, y in zip(pa, pb)):
+        return False
+    return all(any(not {s.name for s in (x - Symbol(p, nonnegative=False))
+                        .free_symbols} & params for x in pa)
+               for p in params)
 
 
 class GreedySubgraphFusion(Transformation):
@@ -147,6 +170,27 @@ class GreedySubgraphFusion(Transformation):
                 if desc is not None and desc.transient:
                     continue
             return None
+
+        # the fused scope runs scope 2's body right after scope 1's at each
+        # point, so an element one scope writes must not be accessed by the
+        # other at another point (durbin's y[k-1-i] read next to its y[i]
+        # write would read elements earlier points already overwrote)
+        params = set(entry1.map.params)
+        first = [(e.memlet, False) for e in state.out_edges(entry1)] \
+            + [(e.memlet, True) for e in state.in_edges(exit1)]
+        second = [(e.memlet, False) for e in state.out_edges(entry2)] \
+            + [(e.memlet, True) for e in state.in_edges(exit2)]
+        for m1, writes1 in first:
+            if m1.is_empty() or m1.data == t_name:
+                continue
+            for m2, writes2 in second:
+                if m2.is_empty() or m2.data != m1.data \
+                        or not (writes1 or writes2):
+                    continue
+                a = None if m1.dynamic else m1.subset
+                b = None if m2.dynamic else _rename_subset(m2.subset, mapping)
+                if not _pointwise(a, b, params):
+                    return None
         return (state, t_node, entry1, exit1, entry2, exit2, mapping, wires)
 
     @classmethod

@@ -51,17 +51,24 @@ def run_in_thread(fn):
 
 class TestOffPath:
     @pytest.mark.parametrize("name", ["atax", "jacobi_2d", "spmv"])
-    def test_default_module_has_one_boundary_call_and_no_hooks(self, name):
+    def test_plain_call_makes_no_boundary_call(self, name, monkeypatch):
+        # the module reads the thread-local once per call; without a context
+        # it makes no boundary call, with one it makes one per state visit
+        calls = []
+        real = context.boundary
+        monkeypatch.setattr(context, "boundary",
+                            lambda *a: (calls.append(a[1]), real(*a)))
         bench = registry.get(name)
-        source = bench.program.compile(**bench.arguments("test")).source
-        loop = source[source.index("while __state >= 0:"):]
-        # one call per state-loop iteration: first statement of the loop
-        # body, ahead of the per-state dispatch chain
-        assert source.count("__boundary(") == 1
-        assert loop.splitlines()[1].strip() == \
-            "__boundary(__sdfg, __state, __c, __s)"
+        compiled = compile_sdfg(bench.program.to_sdfg(), cache=False)
+        compiled(**bench.arguments("test"))
+        assert calls == []
+        with context.installed(context.ExecutionContext()):
+            compiled(**bench.arguments("test"))
+        visits = compiled.last_state_visits
+        assert len(calls) == sum(visits.values()) > 0
+        assert {k: calls.count(k) for k in set(calls)} == visits
         for hook in ("__tick", "__ckpt", "__prof_", "__guard_"):
-            assert hook not in source
+            assert hook not in compiled.source
 
     def test_no_context_around_a_plain_call(self):
         A = np.zeros(8)

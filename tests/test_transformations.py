@@ -297,6 +297,38 @@ class TestFusionCollapseTiling:
         GreedySubgraphFusion.apply_repeated(sdfg)
         assert count_maps(sdfg) == before
 
+    def test_reversed_read_of_a_written_container_not_fused(self):
+        """durbin's ``y[:k] += alpha * np.flip(y[:k])``: a scope reading
+        ``y[k-1-i]`` must not fuse with the scope writing ``y[i]``, or each
+        point reads what an earlier point overwrote.  The interpreter (also
+        with its map scopes in parallel chunks) and the compiled module on
+        the optimized graph agree with NumPy."""
+        from repro.bench import registry
+        from repro.runtime import parallel
+        from repro.runtime.executor import run_sdfg
+
+        bench = registry.get("durbin")
+        sdfg = auto_optimize(bench.program.to_sdfg(
+            **bench.arguments("test")).clone(), device="CPU")
+
+        def chunked(**kw):
+            # every CPU_Multicore scope splits into chunks: they must share
+            # the outputs sized by the loop variable, not allocate their own
+            try:
+                with Config.override(parallel__min_work=0,
+                                     device__cpu_threads=2):
+                    run_sdfg(sdfg.clone(), **kw)
+            finally:
+                parallel.shutdown_pool()
+
+        reference = bench.arguments("test")
+        bench.reference(**reference)
+        for run in (lambda **kw: run_sdfg(sdfg.clone(), **kw), chunked,
+                    lambda **kw: compile_sdfg(sdfg.clone(), cache=False)(**kw)):
+            args = bench.arguments("test")
+            run(**args)
+            np.testing.assert_allclose(args["y"], reference["y"], rtol=1e-10)
+
     def test_fusion_keeps_ordering_edges_of_the_absorbed_scope(self):
         """The absorbed scope's ordering edges move to the fused scope: a
         later writer of a container it reads still waits for it (WAR), as
