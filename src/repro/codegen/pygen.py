@@ -252,6 +252,202 @@ def _out_dtypes(code: str, inputs: Tuple[Tuple[str, np.dtype, bool], ...]
             and name not in connectors}
 
 
+class _Decline(Exception):
+    """A row-code precondition fails (:class:`_RowRewrite`)."""
+
+
+#: per-point reductions of a whole row, lowered over the trailing axes
+_ROW_REDUCTIONS = ("max", "min", "sum", "prod")
+
+
+def _join_ranks(*ranks: int) -> int:
+    """The trailing rank of an element-wise result: operands of rank 0
+    broadcast anywhere, others must agree (right-aligned broadcasting would
+    pair a map axis with a row axis)."""
+    rows = set(ranks) - {0}
+    if len(rows) > 1:
+        raise _Decline
+    return rows.pop() if rows else 0
+
+
+class _RowRewrite:
+    """Rewrites a row-code tasklet's statements to run over all points of
+    its map at once (§17 rule 4a).
+
+    Every value is typed by its *trailing rank*: 0 for one that is the same
+    at every point (a constant, a symbol, a scalar read), else the number
+    of axes after the map's.  A subscript ``x[i, j, a:b]`` of an array
+    connector becomes ``x[<i's range>, <j's range>, a:b]``; a whole-row
+    ``np.max``/``np.min`` (any rank) and ``np.sum``/``np.prod`` (rank 1, on
+    a C-contiguous operand, so each row is reduced by the routine and
+    order ``np.sum(row)`` uses) take ``axis=<trailing axes>,
+    keepdims=True``.  Locals and scalar connectors get the prefix; anything
+    outside the rule raises :class:`_Decline`."""
+
+    def __init__(self, params, arrays, scalars, free, descs, leading,
+                 prefix: str):
+        self.params = params
+        self.arrays = arrays        # array connector -> container
+        self.descs = descs
+        self.leading = leading      # (container, parameter index) -> text
+        self.prefix = prefix
+        #: readable name -> (emitted name, trailing rank)
+        self.names = {n: (n, 0) for n in free if n != "np"}
+        self.names.update({c: (prefix + c, 0) for c in scalars})
+        self.locals: List[str] = []
+        self.written: set = set()   # containers the statements store into
+        self.reductions: set = set()  # emitted locals holding a reduction
+
+    def statements(self, tree: ast.Module) -> List[tuple]:
+        """``(target, value, container stored or None)`` per statement."""
+        out = []
+        for stmt in tree.body:
+            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+                raise _Decline
+            target = stmt.targets[0]
+            value, rank = self.expr(stmt.value)
+            if isinstance(target, ast.Subscript):
+                view, target_rank = self.subscript(target)
+                if rank not in (0, target_rank):
+                    raise _Decline
+                container = self.arrays[target.value.id]
+                self.written.add(container)
+                out.append((view, value, container))
+                continue
+            if not isinstance(target, ast.Name) or target.id == "np" \
+                    or target.id in self.params or target.id in self.arrays \
+                    or (target.id in self.names
+                        and target.id not in self.locals):
+                raise _Decline
+            if target.id not in self.locals:
+                self.locals.append(target.id)
+            self.names[target.id] = (self.prefix + target.id, rank)
+            if self.reduced(value):
+                self.reductions.add(self.prefix + target.id)
+            else:
+                self.reductions.discard(self.prefix + target.id)
+            out.append((ast.Name(id=self.prefix + target.id, ctx=ast.Store()),
+                        value, None))
+        return out
+
+    def expr(self, node: ast.expr) -> Tuple[ast.expr, int]:
+        if isinstance(node, ast.Constant) \
+                and isinstance(node.value, (bool, int, float)):
+            return node, 0
+        if isinstance(node, ast.Name):
+            if node.id not in self.names or node.id in self.params:
+                raise _Decline
+            name, rank = self.names[node.id]
+            return ast.Name(id=name, ctx=ast.Load()), rank
+        if isinstance(node, ast.Subscript):
+            return self.subscript(node)
+        if isinstance(node, ast.BinOp) and (type(node.op) in _BINOP_UFUNC
+                                            or isinstance(node.op, ast.Pow)):
+            (left, a), (right, b) = self.expr(node.left), self.expr(node.right)
+            if isinstance(node.op, ast.Pow) and (self.reduced(left)
+                                                 or self.reduced(right)):
+                # the loop holds a reduction as a NumPy scalar, and NumPy
+                # computes ``scalar ** y`` with pow(), ``array ** 2`` as
+                # square(array): the two may differ in the last bit
+                raise _Decline
+            return ast.BinOp(left=left, op=node.op, right=right), \
+                _join_ranks(a, b)
+        if isinstance(node, ast.UnaryOp) \
+                and isinstance(node.op, (ast.USub, ast.UAdd, ast.Invert)):
+            operand, rank = self.expr(node.operand)
+            return ast.UnaryOp(op=node.op, operand=operand), rank
+        if isinstance(node, ast.Compare) and len(node.ops) == 1 \
+                and type(node.ops[0]) in _COMPARE_UFUNC:
+            (left, a), (right, b) = (self.expr(node.left),
+                                     self.expr(node.comparators[0]))
+            return ast.Compare(left=left, ops=node.ops, comparators=[right]), \
+                _join_ranks(a, b)
+        if isinstance(node, ast.Call) and not node.keywords \
+                and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "np":
+            name = node.func.attr
+            args = [self.expr(arg) for arg in node.args]
+            if name in _ROW_REDUCTIONS and len(args) == 1:
+                return self.reduction(name, *args[0])
+            ufunc = getattr(np, name, None)
+            if isinstance(ufunc, np.ufunc) and ufunc.nout == 1 \
+                    and len(args) == ufunc.nin:
+                return (ast.Call(func=_dotted(f"np.{name}"),
+                                 args=[arg for arg, _rank in args], keywords=[]),
+                        _join_ranks(*(rank for _arg, rank in args)))
+        raise _Decline
+
+    def reduced(self, node: ast.expr) -> bool:
+        """Whether rewritten *node* reads a whole-row reduction, directly
+        or through a local: a value the loop holds as a NumPy scalar."""
+        return any(isinstance(n, ast.keyword) and n.arg == "keepdims"
+                   or isinstance(n, ast.Name) and n.id in self.reductions
+                   for n in ast.walk(node))
+
+    def reduction(self, name: str, arg: ast.expr, rank: int):
+        if rank == 0 or (name in ("sum", "prod") and rank != 1):
+            raise _Decline
+        if name in ("sum", "prod"):
+            # a no-op on the C-contiguous temporaries the rule makes; it
+            # keeps NumPy's pairwise row summation for strided inputs too
+            arg = ast.Call(func=_dotted("np.ascontiguousarray"), args=[arg],
+                           keywords=[])
+        axis = "-1" if rank == 1 else str(tuple(range(-rank, 0)))
+        keywords = [ast.keyword(arg="axis", value=ast.parse(axis, mode="eval").body),
+                    ast.keyword(arg="keepdims", value=ast.Constant(True))]
+        return ast.Call(func=_dotted(f"np.{name}"), args=[arg],
+                        keywords=keywords), rank
+
+    def subscript(self, node: ast.Subscript) -> Tuple[ast.expr, int]:
+        """A connector row ``x[i, j, <slices>]`` as the view over every
+        point, and its trailing rank (at least 1)."""
+        if not isinstance(node.value, ast.Name) \
+                or node.value.id not in self.arrays:
+            raise _Decline
+        data = self.arrays[node.value.id]
+        elts = node.slice.elts if isinstance(node.slice, ast.Tuple) \
+            else [node.slice]
+        k = len(self.params)
+        if len(elts) != len(self.descs[data].shape) or len(elts) <= k \
+                or [getattr(e, "id", None) for e in elts[:k]] != self.params:
+            raise _Decline
+        parts = [self.leading(data, j) for j in range(k)]
+        for elt in elts[k:]:
+            if not isinstance(elt, ast.Slice):
+                raise _Decline
+            bounds = []
+            for bound in (elt.lower, elt.upper, elt.step):
+                if bound is not None:
+                    bound, rank = self.expr(bound)
+                    if rank:
+                        raise _Decline
+                bounds.append(bound)
+            parts.append(ast.unparse(ast.Slice(*bounds)))
+        if all(part == ":" for part in parts):
+            return ast.Name(id=data, ctx=ast.Load()), len(elts) - k
+        view = ast.parse(f"{data}[{', '.join(parts)}]", mode="eval").body
+        return view, len(elts) - k
+
+    def sample_code(self, code: str) -> str:
+        """*code* with every connector row read as the connector itself and
+        the n-th statement's store as ``__store<n> = …``: the text whose
+        one-element run gives the dtypes of the stored values."""
+        arrays = self.arrays
+
+        class Sample(ast.NodeTransformer):
+            def visit_Subscript(self, node):
+                if isinstance(node.value, ast.Name) and node.value.id in arrays:
+                    return ast.Name(id=node.value.id, ctx=ast.Load())
+                return self.generic_visit(node)
+
+        tree = ast.parse(code)
+        for n, stmt in enumerate(tree.body):
+            if isinstance(stmt.targets[0], ast.Subscript):
+                stmt.targets[0] = ast.Name(id=f"__store{n}", ctx=ast.Store())
+        return ast.unparse(Sample().visit(tree))
+
+
 # ---------------------------------------------------------------------------
 # The generator
 # ---------------------------------------------------------------------------
@@ -280,9 +476,6 @@ class _Generator:
         #: loop variables of the generated loop nests being emitted,
         #: outermost first
         self._loop_params: List[str] = []
-        #: bindings the loop nest being emitted hoists ahead of its
-        #: outermost ``for`` (None outside loop nests)
-        self._hoisted: Optional[List[str]] = None
         #: names the module binds in ``__run`` (containers, symbols,
         #: constants): a loop variable must not overwrite one
         self.bound: set = set()
@@ -451,15 +644,12 @@ class _Generator:
             var = f"__t{tid}_{edge.dst_conn}"
             rename[edge.dst_conn] = var
             read = self.read_code(edge.memlet)
-            if self._hoisted is not None and read == edge.memlet.data \
-                    and edge.dst_conn not in local_names \
-                    and not self.sanitize \
-                    and not self.sdfg.arrays[read].transient:
-                # a whole argument array: the same object at every
-                # iteration, bound once ahead of the loop nest
-                self._hoisted.append(f"{var} = {read}")
-                continue
             self.emit_read_guard(edge.memlet)
+            if read == edge.memlet.data and edge.dst_conn not in local_names \
+                    and not self.sdfg.arrays[read].transient:
+                # a whole argument array: read under its own name
+                rename[edge.dst_conn] = read
+                continue
             self.emit(f"{var} = {read}")
         out_vars = {}
         for edge in state.out_edges(node):
@@ -586,7 +776,8 @@ class _Generator:
                     self.lines.pop()  # drop the unused timer start
                 self.node_fallback(state, entry)
                 return
-            self.emit_loop_scope(state, entry, body)
+            if not self._try_row_scope(state, entry, body):
+                self.emit_loop_scope(state, entry, body)
         if timer is not None:
             name = entry.map.label or ",".join(entry.map.params)
             self.emit(f"__prof_add('map', {name!r}, __prof_now() - {timer})")
@@ -618,6 +809,117 @@ class _Generator:
                 return True
         return False
 
+    def _try_row_scope(self, state, entry: MapEntry, body: List[Node]) -> bool:
+        """Emit *entry*'s scope as row code: the statements of its one
+        tasklet, each run over all of the map's points at once (§17 rule
+        4a).  Returns False, having emitted nothing, when a precondition
+        fails: the connectors are whole-container dynamic memlets (indexed
+        in the code, with the map parameters as the leading indices in map
+        order and slices after them) or point reads that name no parameter
+        and no container the tasklet writes."""
+        if self.sanitize or len(body) != 1 or not isinstance(body[0], Tasklet):
+            return False
+        node, params = body[0], list(entry.map.params)
+        arrays: Dict[str, str] = {}   # connector -> container
+        scalars: Dict[str, Memlet] = {}
+        edges = [(e, e.dst_conn) for e in state.in_edges(node)] \
+            + [(e, e.src_conn) for e in state.out_edges(node)]
+        for edge, conn in edges:
+            memlet = edge.memlet
+            if memlet.is_empty():
+                continue
+            desc = self.sdfg.arrays.get(memlet.data)
+            if conn is None or memlet.wcr or isinstance(desc, Stream):
+                return False
+            if memlet.dynamic and isinstance(desc, Array) \
+                    and self.whole(memlet.subset, desc) \
+                    and not {s.name for s in desc.free_symbols} & set(params) \
+                    and arrays.setdefault(conn, memlet.data) == memlet.data:
+                continue
+            if edge.dst is not node or memlet.dynamic or not (
+                    isinstance(desc, Scalar) or memlet.subset.is_point() is True) \
+                    or {s.name for s in memlet.free_symbols} & set(params):
+                return False
+            scalars[conn] = memlet
+        free = list(self.sdfg.symbols) + list(self.sdfg.constants) \
+            + self._loop_params
+        rid = self._uid + 1  # taken only if the rule applies
+        rewrite = _RowRewrite(params, arrays, scalars, free, self.sdfg.arrays,
+                              self._row_leading(entry), f"__r{rid}_")
+        try:
+            stmts = rewrite.statements(ast.parse(node.code))
+        except (_Decline, SyntaxError):
+            return False
+        if any(m.data in rewrite.written for m in scalars.values()):
+            return False  # the loop re-reads a point of a container it writes
+        conds = self._row_guard(entry)
+        if conds is None:
+            return False
+        inputs = tuple(sorted(
+            [(c, np.dtype(self.sdfg.arrays[d].dtype.nptype), False)
+             for c, d in arrays.items()]
+            + [(c, np.dtype(self.sdfg.arrays[m.data].dtype.nptype), True)
+               for c, m in scalars.items()]))
+        dtypes = _out_dtypes(rewrite.sample_code(node.code), inputs)
+        self.uid()
+        if conds:
+            self.emit(f"if {' and '.join(conds)}:")
+            self._indent += 1
+        for conn, memlet in scalars.items():
+            self.emit(f"__r{rid}_{conn} = {self.read_code(memlet)}")
+        for n, (target, value, container) in enumerate(stmts):
+            view = ast.unparse(target)
+            call = _ufunc_call(value) if container is not None else None
+            if call is not None and dtypes.get(f"__store{n}") \
+                    == np.dtype(self.sdfg.arrays[container].dtype.nptype):
+                args = ", ".join(ast.unparse(a) for a in call[1])
+                self.emit(f"{call[0]}({args}, out={view})")
+            else:
+                # a whole container is assigned in place, never rebound
+                self.emit(f"{view}{'[...]' if view == container else ''} = "
+                          f"{ast.unparse(value)}")
+        if scalars or rewrite.locals:
+            self.emit("del " + ", ".join(f"__r{rid}_{name}" for name
+                                         in [*scalars, *rewrite.locals]))
+        if conds:
+            self._indent -= 1
+        return True
+
+    def _row_leading(self, entry: MapEntry):
+        """The leading index text of a row-code subscript of container
+        *data* along map parameter *j*: ``:`` where the parameter's range
+        covers the container dimension, else the range as a slice."""
+        dims = entry.map.range.dims
+
+        def leading(data: str, j: int) -> str:
+            b, e, s = dims[j]
+            if self.covers(self.sdfg.arrays[data], j, b, e, s):
+                return ":"
+            if all(isinstance(x, Integer) for x in (b, e, s)):
+                sl = make_slice(1, 0, b.value, e.value, s.value)
+                return f"{sl.start}:{sl.stop}:{sl.step}"
+            return f"make_slice(1, 0, ({b}), ({e}), ({s}))"
+
+        return leading
+
+    @staticmethod
+    def _row_guard(entry: MapEntry) -> Optional[List[str]]:
+        """Conditions that the map's range is not empty (the loop would
+        not run, while a reduction over empty rows raises), or None for a
+        constant empty range or a step that is not a positive constant."""
+        conds = []
+        for b, e, s in entry.map.range.dims:
+            if not isinstance(s, Integer) or s.value < 1:
+                return None
+            if isinstance(b, Integer) and isinstance(e, Integer):
+                if dim_length(b.value, e.value, s.value) == 0:
+                    return None
+            elif s == 1:
+                conds.append(f"({e - b + 1}) > 0")
+            else:
+                conds.append(f"dim_length(({b}), ({e}), ({s})) > 0")
+        return conds
+
     def emit_loop_scope(self, state, entry: MapEntry, body: List[Node]) -> None:
         """Emit *entry*'s scope as a Python loop nest, one ``for`` per
         parameter, with the top-level emitters for its body in scope order;
@@ -626,9 +928,6 @@ class _Generator:
         enclosing loop is renamed throughout the nest."""
         start, indent = len(self.lines), self._indent
         params = list(entry.map.params)
-        outermost = self._hoisted is None
-        if outermost:
-            self._hoisted = []
         for p, (b, e, s) in zip(params, entry.map.range.dims):
             bounds = [str(e + 1)]
             if b != 0 or s != 1:
@@ -664,10 +963,6 @@ class _Generator:
             tree = _ScalarRewrite(rename).visit(tree)
             self.lines[start:] = [base + line for line in
                                   ast.unparse(tree).splitlines()]
-        if outermost:
-            self.lines[start:start] = ["    " * indent + line
-                                       for line in self._hoisted]
-            self._hoisted = None
 
     def _allocate_in_loop(self, state, entry: MapEntry,
                           params: List[str]) -> None:
@@ -1542,6 +1837,64 @@ class _ControlFlow:
         return assigned, must
 
 
+#: comparison -> the one true exactly when it is false, on integers
+_INVERSE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
+            ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+
+
+def _integer_expr(node: ast.expr, names: set, data: Dict[str, int]) -> bool:
+    """Whether interstate expression *node* is an integer: an integer
+    literal, a name in *names*, an element of a container in *data* (name
+    -> rank) at integer indices, or ``+ - * // %`` of such."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Subscript):
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) \
+            else [node.slice]
+        return isinstance(node.value, ast.Name) \
+            and data.get(node.value.id) == len(index) \
+            and all(_integer_expr(i, names, data) for i in index)
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod)):
+        return _integer_expr(node.left, names, data) \
+            and _integer_expr(node.right, names, data)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _integer_expr(node.operand, names, data)
+    return False
+
+
+def _integer_names(sdfg) -> Tuple[set, Dict[str, int]]:
+    """``(names, data)``: the names an interstate expression reads as
+    integers, and the integer containers with their ranks.  The names are
+    the integer scalar containers, the symbols no edge assigns (the calling
+    convention binds them with ``int()``) and the symbols every assignment
+    of which is an integer expression — assumed of all, then dropped until
+    stable."""
+    data = {name: len(desc.shape) for name, desc in sdfg.arrays.items()
+            if np.issubdtype(desc.dtype.nptype, np.integer)}
+    assigned: Dict[str, List[ast.expr]] = {}
+    for edge in sdfg.edges():
+        for sym, value in edge.data.assignments.items():
+            try:
+                assigned.setdefault(sym, []).append(
+                    ast.parse(str(value), mode="eval").body)
+            except SyntaxError:
+                assigned.setdefault(sym, []).append(ast.Constant(None))
+    names = set(sdfg.symbols) | set(assigned) | {
+        name for name in data if isinstance(sdfg.arrays[name], Scalar)}
+    changed = True
+    while changed:
+        changed = False
+        for sym, values in assigned.items():
+            if sym in names and not all(_integer_expr(v, names, data)
+                                        for v in values):
+                names.discard(sym)
+                changed = True
+    return names, data
+
+
 def _jumps(block: list) -> bool:
     """Whether control never falls off the end of *block*."""
     last = block[-1] if block else ("",)
@@ -1580,6 +1933,7 @@ class _Structured:
         self.states = states
         self.bodies = bodies
         self.assigned, self.must = cf.symbol_writes()
+        self.integers = _integer_names(sdfg)
         self.lines: List[str] = []
 
     def emit(self, depth: int, text: str) -> None:
@@ -1638,7 +1992,8 @@ class _Structured:
         inverse = None
         if len(conds) == 2 and None not in conds and (
                 conds[1] == f"not ({conds[0]})"
-                or conds[0] == f"not ({conds[1]})"):
+                or conds[0] == f"not ({conds[1]})"
+                or self.opposite(arms[0][0].condition, arms[1][0].condition)):
             # the second arm runs exactly when the first does not
             if _empty(blocks[0]):
                 self.emit(depth, f"if ({conds[1]}):")
@@ -1665,6 +2020,23 @@ class _Structured:
             self.emit(depth, f"if not ({conds[f]}):")
             self.chain(conds[f + 1:], blocks[f + 1:], depth + 1, None, total)
         self.block(blocks[f], depth, tail)
+
+    def opposite(self, first: str, second: str) -> bool:
+        """Whether condition *second* is true exactly when *first* is
+        false: inverse comparisons (``<``/``>=``, ``>``/``<=``,
+        ``==``/``!=``) of the same two integer operands.  On floats a NaN
+        makes both false, and then no arm is taken."""
+        try:
+            a, b = (ast.parse(c, mode="eval").body for c in (first, second))
+        except SyntaxError:
+            return False
+        if not (isinstance(a, ast.Compare) and isinstance(b, ast.Compare)
+                and len(a.ops) == len(b.ops) == 1
+                and _INVERSE.get(type(a.ops[0])) is type(b.ops[0])):
+            return False
+        operands = [(a.left, b.left), (a.comparators[0], b.comparators[0])]
+        return all(ast.dump(x) == ast.dump(y)
+                   and _integer_expr(x, *self.integers) for x, y in operands)
 
     def chain(self, conds, blocks, depth: int, tail: Optional[str],
               total: bool) -> None:

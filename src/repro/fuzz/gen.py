@@ -371,6 +371,60 @@ class AccStmt(Stmt):
 
 
 @dataclass
+class RowMapStmt(Stmt):
+    """A row-wise map over 3-D arrays (softmax's shape): per point ``(i,
+    j)`` a whole-row reduction *red*, an element-wise *chain* of the row
+    minus it, normalised by the chain's row sum, stored into *out*.  With
+    *cross* the map skips the last ``i`` and every point also reads that
+    row of *out*, which no point writes — a read of a written container at
+    another row, which the row lowering must decline."""
+
+    out: str = ""
+    src: str = ""
+    params: Tuple[str, ...] = ()
+    bounds: Tuple[SizeRef, ...] = ()
+    red: str = "max"
+    chain: str = "np.exp({0})"
+    cross: bool = False
+
+    @property
+    def defs(self):
+        return ()
+
+    @property
+    def uses(self):
+        return (self.out, self.src)
+
+    def _extents(self, sizes) -> List[int]:
+        extents = [_resolve(b, sizes) for b in self.bounds]
+        if self.cross:
+            extents[0] -= 1
+        return extents
+
+    def _body(self, sizes) -> List[str]:
+        i, j = self.params
+        row = f"{self.src}[{i}, {j}, :]"
+        value = "rowe / np.sum(rowe)"
+        if self.cross:
+            value += f" + {self.out}[{_resolve(self.bounds[0], sizes) - 1}, {j}, :]"
+        return [f"rowm = np.{self.red}({row})",
+                f"rowe = {self.chain.format(f'{row} - rowm')}",
+                f"{self.out}[{i}, {j}, :] = {value}"]
+
+    def prog_lines(self, sizes):
+        rng = ", ".join(f"0:{n}" for n in self._extents(sizes))
+        return [f"for {', '.join(self.params)} in repro.map[{rng}]:"] \
+            + ["    " + line for line in self._body(sizes)]
+
+    def ref_lines(self, sizes):
+        lines = []
+        for depth, (p, n) in enumerate(zip(self.params, self._extents(sizes))):
+            lines.append("    " * depth + f"for {p} in range({n}):")
+        return lines + ["    " * len(self.params) + line
+                        for line in self._body(sizes)]
+
+
+@dataclass
 class ReturnStmt(Stmt):
     value: str = ""           # name, or "" -> np.sum(fallback)
     fallback: str = "A"
@@ -465,6 +519,10 @@ _EWISE_UNARY = [
 _MAP_RHS = ["{0} * 2.0", "{0} + {1}", "{0} * {1} + 0.5", "{0} - 0.25"]
 _ACC_RHS = ["{0} * {1}", "{0} + {1}", "{0}"]
 _REDUCE_OPS = ["sum", "min", "max", "prod", "mean"]
+#: element-wise steps of a row map's chain: each is positive whatever its
+#: input, so the row sum it is normalised by stays away from zero
+_ROW_CHAIN = ["np.exp({0})", "np.sqrt(np.abs({0})) + 1.0", "{0} * {0} + 0.5",
+              "1.0 / (1.0 + np.exp({0}))", "np.log1p(np.abs({0})) + 0.25"]
 
 
 class _Gen:
@@ -536,6 +594,7 @@ class _Gen:
             if stmt.dest:
                 register(stmt.dest, stmt.out_dims())
 
+        self._rowmap(case)
         ret_candidates = [s.dest for s in case.stmts
                           if s.dest and s.out_dims() is not None]
         if ret_candidates and rng.random() < 0.8:
@@ -697,6 +756,27 @@ class _Gen:
         return TriMapStmt(out=out, size=n, delta=rng.choice([0, 1]),
                           reads=srcs, rhs_template=rng.choice(_MAP_RHS[:2]).replace("{1}", "{0}"),
                           one_d=bool(one_d))
+
+    def _rowmap(self, case):
+        """Insert a :class:`RowMapStmt` over two 3-D arguments of its own
+        into some cases, drawing from a stream of its own so every other
+        draw of a case is unchanged."""
+        rng = random.Random(f"repro-fuzz-row-{self.seed}")
+        if rng.random() >= 0.3:
+            return
+        dims = ("n0", "n1", "n2")
+        src = ArraySpec("X3", dims,
+                        "float32" if rng.random() < 0.2 else "float64")
+        case.args += [src, ArraySpec("O3", dims)]
+        chain = "{0}"
+        for _ in range(rng.randint(1, 2)):
+            chain = rng.choice(_ROW_CHAIN).format(chain)
+        stmt = RowMapStmt(out="O3", src="X3",
+                          params=tuple(rng.sample(PARAM_NAMES, 2)),
+                          bounds=dims[:2],
+                          red=rng.choice(["max", "min", "sum"]), chain=chain,
+                          cross=rng.random() < 0.25)
+        case.stmts.insert(rng.randint(0, len(case.stmts)), stmt)
 
     def _acc(self, case, pools, scalars):
         rng = self.rng

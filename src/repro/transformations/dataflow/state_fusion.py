@@ -84,6 +84,9 @@ class StateFusion(Transformation):
                 producer = e.src
                 if isinstance(producer, MapExit):
                     roots.append(producer.entry_node)
+                elif isinstance(producer, AccessNode):
+                    # a copy runs when its destination is visited
+                    roots.append(access_node)
                 else:
                     roots.append(producer)
             return roots
@@ -112,8 +115,10 @@ class StateFusion(Transformation):
                 for src in consumers + [anchor]:
                     if src is root or src in moved:
                         continue
-                    if not first.edges_between(src, root):
-                        first.add_nedge(src, root, Memlet.empty())
+                    if first.edges_between(src, root) or (
+                            root is node and node in first.descendants(src)):
+                        continue  # already ordered (a copy by any path)
+                    first.add_nedge(src, root, Memlet.empty())
 
         # rewire interstate edges
         sdfg.remove_edge(edge)
