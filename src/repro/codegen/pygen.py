@@ -289,7 +289,7 @@ class _RowRewrite:
         self.params = params
         self.arrays = arrays        # array connector -> container
         self.descs = descs
-        self.leading = leading      # (container, parameter index) -> text
+        self.leading = leading      # (container, parameter index) -> slice
         self.prefix = prefix
         #: readable name -> (emitted name, trailing rank)
         self.names = {n: (n, 0) for n in free if n != "np"}
@@ -424,7 +424,7 @@ class _RowRewrite:
                         raise _Decline
                 bounds.append(bound)
             parts.append(ast.unparse(ast.Slice(*bounds)))
-        if all(part == ":" for part in parts):
+        if all(part in (":", "slice(None)") for part in parts):
             return ast.Name(id=data, ctx=ast.Load()), len(elts) - k
         view = ast.parse(f"{data}[{', '.join(parts)}]", mode="eval").body
         return view, len(elts) - k
@@ -519,24 +519,26 @@ class _Generator:
             return "(slice(0, 1, 1),)"
         if not self.sanitize and not indexed and self.whole(subset, desc):
             return "..."
-        dims = []
-        for d, (begin, end, step) in enumerate(subset.dims):
-            if d in indexed:
-                dims.append(f"({begin})")
-            elif not self.sanitize and d < len(desc.shape) \
-                    and self.covers(desc, d, begin, end, step):
-                dims.append("slice(None)")
-            elif all(isinstance(x, Integer) for x in (begin, end, step)):
-                # constant dims: bake the slice (make_slice handles empty
-                # ranges and descending steps; a naive `end + 1` stop is
-                # wrong for both)
-                s = make_slice(1, 0, begin.value, end.value, step.value)
-                dims.append(f"slice({s.start}, {s.stop}, {s.step})")
-            elif begin == end and step == 1:
-                dims.append(f"slice(({begin}), ({begin}) + 1)")  # a point
-            else:
-                dims.append(f"make_slice(1, 0, ({begin}), ({end}), ({step}))")
+        dims = [f"({begin})" if d in indexed
+                else self.dim_slice_code(desc, d, begin, end, step)
+                for d, (begin, end, step) in enumerate(subset.dims)]
         return "(" + ", ".join(dims) + ("," if len(dims) == 1 else "") + ")"
+
+    def dim_slice_code(self, desc, d: int, begin, end, step) -> str:
+        """Python slice code for ``begin:end:step`` along dimension *d* of
+        *desc*; ``slice(None)`` where it covers the dimension."""
+        if not self.sanitize and d < len(desc.shape) \
+                and self.covers(desc, d, begin, end, step):
+            return "slice(None)"
+        if all(isinstance(x, Integer) for x in (begin, end, step)):
+            # constant dims: bake the slice (make_slice handles empty
+            # ranges and descending steps; a naive `end + 1` stop is
+            # wrong for both)
+            s = make_slice(1, 0, begin.value, end.value, step.value)
+            return f"slice({s.start}, {s.stop}, {s.step})"
+        if begin == end and step == 1:
+            return f"slice(({begin}), ({begin}) + 1)"  # a point
+        return f"make_slice(1, 0, ({begin}), ({end}), ({step}))"
 
     def _memlet_index_code(self, memlet: Memlet) -> str:
         desc = self.sdfg.arrays[memlet.data]
@@ -844,8 +846,12 @@ class _Generator:
         free = list(self.sdfg.symbols) + list(self.sdfg.constants) \
             + self._loop_params
         rid = self._uid + 1  # taken only if the rule applies
-        rewrite = _RowRewrite(params, arrays, scalars, free, self.sdfg.arrays,
-                              self._row_leading(entry), f"__r{rid}_")
+        dims = entry.map.range.dims
+        rewrite = _RowRewrite(
+            params, arrays, scalars, free, self.sdfg.arrays,
+            lambda data, j: self.dim_slice_code(self.sdfg.arrays[data], j,
+                                                *dims[j]),
+            f"__r{rid}_")
         try:
             stmts = rewrite.statements(ast.parse(node.code))
         except (_Decline, SyntaxError):
@@ -884,23 +890,6 @@ class _Generator:
         if conds:
             self._indent -= 1
         return True
-
-    def _row_leading(self, entry: MapEntry):
-        """The leading index text of a row-code subscript of container
-        *data* along map parameter *j*: ``:`` where the parameter's range
-        covers the container dimension, else the range as a slice."""
-        dims = entry.map.range.dims
-
-        def leading(data: str, j: int) -> str:
-            b, e, s = dims[j]
-            if self.covers(self.sdfg.arrays[data], j, b, e, s):
-                return ":"
-            if all(isinstance(x, Integer) for x in (b, e, s)):
-                sl = make_slice(1, 0, b.value, e.value, s.value)
-                return f"{sl.start}:{sl.stop}:{sl.step}"
-            return f"make_slice(1, 0, ({b}), ({e}), ({s}))"
-
-        return leading
 
     @staticmethod
     def _row_guard(entry: MapEntry) -> Optional[List[str]]:
@@ -1933,8 +1922,13 @@ class _Structured:
         self.states = states
         self.bodies = bodies
         self.assigned, self.must = cf.symbol_writes()
-        self.integers = _integer_names(sdfg)
+        self.sdfg = sdfg
         self.lines: List[str] = []
+
+    @functools.cached_property
+    def integers(self) -> Tuple[set, Dict[str, int]]:
+        """:func:`_integer_names` of the graph, when a branch needs it."""
+        return _integer_names(self.sdfg)
 
     def emit(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
